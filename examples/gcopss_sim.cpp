@@ -13,9 +13,12 @@
 //        --hotspot FRAC  --placement {centrality|vivaldi|spread}
 //        --topo {rocketfuel|bench6}  --seed N
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 #include "game/map.hpp"
@@ -56,7 +59,53 @@ struct Args {
   std::exit(2);
 }
 
-Args parse(int argc, char** argv) {
+[[noreturn]] void badValue(const std::string& flag, const std::string& want,
+                           const std::string& got) {
+  std::fprintf(stderr, "gcopss_sim: %s expects %s, got '%s'\n", flag.c_str(), want.c_str(),
+               got.c_str());
+  std::exit(2);
+}
+
+// A whole number in [lo, hi]: digits only, so a sign, a fraction, trailing
+// text or a value past hi is rejected instead of thrown or wrapped.
+std::uint64_t count(const std::string& flag, const std::string& text, std::uint64_t lo,
+                    std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, err] = std::from_chars(text.data(), end, v);
+  if (text.empty() || err != std::errc() || stop != end || v < lo || v > hi) {
+    badValue(flag, "a whole number in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]",
+             text);
+  }
+  return v;
+}
+
+double fraction(const std::string& flag, const std::string& text) {
+  char* stop = nullptr;
+  const double v = std::strtod(text.c_str(), &stop);
+  if (text.empty() || stop != text.c_str() + text.size() || !(v >= 0.0 && v <= 1.0)) {
+    badValue(flag, "a fraction in [0, 1]", text);
+  }
+  return v;
+}
+
+std::string oneOf(const std::string& flag, const std::string& text,
+                  std::initializer_list<const char*> choices) {
+  std::string want;
+  for (const char* c : choices) {
+    if (text == c) return text;
+    want += want.empty() ? c : std::string("|") + c;
+  }
+  badValue(flag, want, text);
+}
+
+// Every value is checked here, before a trace or world exists. The caps keep
+// a typo from asking for an unbounded trace or thread count.
+constexpr std::uint64_t kMaxUpdates = 100'000'000;
+constexpr std::uint64_t kMaxSites = 256;  // RPs, servers, hybrid groups
+constexpr std::uint64_t kMaxThreads = 256;
+
+Args parse(int argc, char** argv, std::size_t maxPlayers) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -64,19 +113,19 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    if (flag == "--stack") a.stack = value();
-    else if (flag == "--players") a.players = std::stoull(value());
-    else if (flag == "--updates") a.updates = std::stoull(value());
-    else if (flag == "--rps") a.rps = std::stoull(value());
-    else if (flag == "--servers") a.servers = std::stoull(value());
-    else if (flag == "--groups") a.groups = std::stoull(value());
+    if (flag == "--stack") a.stack = oneOf(flag, value(), {"gcopss", "hybrid", "ipserver", "ndn"});
+    else if (flag == "--players") a.players = count(flag, value(), 1, maxPlayers);
+    else if (flag == "--updates") a.updates = count(flag, value(), 1, kMaxUpdates);
+    else if (flag == "--rps") a.rps = count(flag, value(), 1, kMaxSites);
+    else if (flag == "--servers") a.servers = count(flag, value(), 1, kMaxSites);
+    else if (flag == "--groups") a.groups = count(flag, value(), 1, kMaxSites);
     else if (flag == "--auto") a.autoBalance = true;
     else if (flag == "--two-step") a.twoStep = true;
-    else if (flag == "--hotspot") a.hotspot = std::stod(value());
-    else if (flag == "--placement") a.placement = value();
-    else if (flag == "--topo") a.topo = value();
-    else if (flag == "--seed") a.seed = std::stoull(value());
-    else if (flag == "--threads") a.threads = std::stoull(value());
+    else if (flag == "--hotspot") a.hotspot = fraction(flag, value());
+    else if (flag == "--placement") a.placement = oneOf(flag, value(), {"centrality", "vivaldi", "spread"});
+    else if (flag == "--topo") a.topo = oneOf(flag, value(), {"rocketfuel", "bench6"});
+    else if (flag == "--seed") a.seed = count(flag, value(), 0, UINT64_MAX);
+    else if (flag == "--threads") a.threads = count(flag, value(), 0, kMaxThreads);
     else usage();
   }
   return a;
@@ -105,12 +154,12 @@ void printSummary(const RunSummary& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-
   game::GameMap map({5, 5});
-  game::ObjectDatabase db(map, game::ObjectDatabase::paperLayerCounts());
-
   trace::CsTraceConfig tcfg;
+  // The trace places at most playersPerAreaMax players in each area.
+  const Args a = parse(argc, argv, map.areas().size() * tcfg.playersPerAreaMax);
+
+  game::ObjectDatabase db(map, game::ObjectDatabase::paperLayerCounts());
   tcfg.players = a.players;
   tcfg.totalUpdates = a.updates;
   tcfg.hotspotStartFrac = a.hotspot;

@@ -18,7 +18,9 @@ CopssRouter::CopssRouter(NodeId id, Network& net, Options opts)
                [this](NodeId face, PacketPtr pkt) { send(face, std::move(pkt)); },
                nullptr, nullptr},
            opts.ndn, [this]() { return sim().now(); }),
-      st_(opts.st), balancer_(opts.balance), sentFaces_(opts.dedupWindow) {}
+      st_(opts.st), balancer_(opts.balance),
+      // Links added after construction join the face index on first sight.
+      sentFaces_(opts.dedupWindow, net.topology().neighbors(id)) {}
 
 void CopssRouter::addCdRoute(const Name& prefix, NodeId nextHopFace) {
   cdFib_.insert(prefix, nextHopFace);
@@ -213,10 +215,6 @@ void CopssRouter::rpDeliver(NodeId arrivalFace, const PacketPtr& multicast) {
   if (opts_.autoBalance) maybeSplit();
 }
 
-std::vector<NodeId>& CopssRouter::sentRecord(std::uint64_t seq) {
-  return sentFaces_.at(seq);
-}
-
 GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& multicast) {
   const auto& mcast = packet_cast<MulticastPacket>(multicast);
   std::vector<NodeId> faces = std::move(matchScratch_);
@@ -225,25 +223,10 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
   // tick replay this hop's whole match from the ST's cache; misses run the
   // word-parallel bit-plane sweep (scalar probes when batchedMatch is off).
   st_.matchFacesHashedInto(mcast.cds, mcast.prefixHashes, mcast.matchKey, excludeFace, faces);
-  auto& sent = sentRecord(mcast.seq);
-  // Transient overlapping trees (during migration, or coarse subscriptions
-  // spanning multiple RPs) can deliver a seq here more than once; each face
-  // is served exactly once, and an arrival face counts as served.
-  if (excludeFace != kInvalidNode &&
-      std::find(sent.begin(), sent.end(), excludeFace) == sent.end()) {
-    sent.push_back(excludeFace);
-  }
+  // Per-face suppression against this seq's record: the arrival face counts
+  // as served, and only a retransmission re-floods faces already served.
+  dupSuppressed_ += sentFaces_.serve(mcast.seq, excludeFace, mcast.retx, faces);
   for (NodeId face : faces) {
-    const bool served = std::find(sent.begin(), sent.end(), face) != sent.end();
-    // A retransmission re-floods the tree: the seq record cannot tell
-    // "served" from "sent but lost downstream", so end hosts do the final
-    // exact dedup. Local delivery has no link to lose on, so it stays
-    // suppressed exactly.
-    if (served && (!mcast.retx || face == ndn::kLocalFace)) {
-      ++dupSuppressed_;
-      continue;
-    }
-    if (!served) sent.push_back(face);
     if (face == ndn::kLocalFace) {
       if (onLocalMulticast) onLocalMulticast(mcast, sim().now());
       continue;

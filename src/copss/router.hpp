@@ -7,10 +7,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/seq_window.hpp"
 #include "common/thread_annotations.hpp"
 #include "copss/balancer.hpp"
 #include "copss/packets.hpp"
+#include "copss/served_faces.hpp"
 #include "copss/st.hpp"
 #include "ndn/forwarder.hpp"
 #include "net/network.hpp"
@@ -216,8 +216,6 @@ class CopssRouter : public Node {
   void forwardScoped(const Name& cd, const Name& scope, bool subscribe,
                      bool resync = false);
 
-  // Faces already served with seq (creates the record on first use).
-  std::vector<NodeId>& sentRecord(std::uint64_t seq);
   void maybeSplit();
   void initiateSplit(NodeId newRp, std::vector<Name> cds);
 
@@ -262,8 +260,9 @@ class CopssRouter : public Node {
   // seenFloods_ — reclaim nonces and migration txnIds use different
   // counters and could collide. Volatile (cleared on crash).
   std::unordered_map<std::uint64_t, NodeId> seenReclaims_;
-  // seq -> faces already served; ring-evicted.
-  SeqWindowMap<std::vector<NodeId>> sentFaces_;
+  // seq -> bit row of the faces already served, over this router's face
+  // index (local face + neighbours); the last dedupWindow seqs are kept.
+  ServedFaces sentFaces_;
   // Capacity-recycled scratch for stForward's ST match (moved out and back
   // around the fan-out loop, so reentrant forwards stay correct).
   std::vector<NodeId> matchScratch_;

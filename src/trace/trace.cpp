@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 namespace gcopss::trace {
 
@@ -22,6 +23,13 @@ std::vector<Position> assignPlayersToAreas(const GameMap& map, Rng& rng,
     out.reserve(players);
     for (std::size_t i = 0; i < players; ++i) out.push_back(Position{areas[i % areas.size()]});
     return out;
+  }
+  if (players > areas.size() * maxPerArea) {
+    // No count per area in [min,max] sums to `players`: the adjustment loop
+    // below would never end.
+    throw std::invalid_argument("assignPlayersToAreas: " + std::to_string(players) +
+                                " players exceed " + std::to_string(areas.size()) +
+                                " areas x " + std::to_string(maxPerArea) + " per area");
   }
   // Draw a count per area in [min,max], then rescale to hit the exact total
   // while staying inside the bounds.

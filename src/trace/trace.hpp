@@ -77,7 +77,9 @@ Trace generateCsTrace(const game::GameMap& map, const game::ObjectDatabase& db,
                       const CsTraceConfig& cfg);
 
 // Assign `players` across every area of the map with per-area counts in
-// [minPerArea, maxPerArea] (Fig 3d's 4-20 players per area).
+// [minPerArea, maxPerArea] (Fig 3d's 4-20 players per area). Throws
+// std::invalid_argument when more players than areas x maxPerArea are asked
+// for.
 std::vector<game::Position> assignPlayersToAreas(const game::GameMap& map, Rng& rng,
                                                  std::size_t players,
                                                  std::size_t minPerArea,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -221,6 +224,101 @@ TEST(SeqWindowMap, MatchesRingPlusMapReference) {
       it->second.push_back(face);
     }
   }
+  }
+}
+
+// The slot index keeps a key's low bits in place (`key ^ (key >> 32)` under
+// the mask), so dense small seqs never collide. These families are the keys
+// that do: nonces that differ only above bit 32, power-of-two strides whose
+// low bits are all zero, seqs offset by the snapshot broker's base, and a
+// sliding run of recent seqs as a node actually sees them. Each must give
+// exactly the reference answers.
+using KeyGen = std::function<std::uint64_t(Rng&, int step)>;
+
+// Same base as the snapshot broker's seqs (gcopss/experiment.cpp).
+constexpr std::uint64_t kSnapshotSeqBase = 1ULL << 40;
+
+std::vector<std::pair<std::string, KeyGen>> sparseKeyFamilies(std::size_t window) {
+  const auto span = static_cast<std::int64_t>(window) * 2;
+  std::vector<std::pair<std::string, KeyGen>> families;
+  families.emplace_back("nonce", [span](Rng& rng, int) {
+    // (node << 32) + n with the same few n on every node.
+    const auto node = static_cast<std::uint64_t>(rng.uniformInt(0, 15));
+    const auto n = static_cast<std::uint64_t>(rng.uniformInt(1, std::max<std::int64_t>(1, span / 16)));
+    return (node << 32) + n;
+  });
+  for (const int k : {3, 12, 20, 32, 40}) {
+    families.emplace_back("stride 2^" + std::to_string(k), [span, k](Rng& rng, int) {
+      return static_cast<std::uint64_t>(rng.uniformInt(1, span)) << k;
+    });
+  }
+  families.emplace_back("snapshot base", [span](Rng& rng, int) {
+    return kSnapshotSeqBase + static_cast<std::uint64_t>(rng.uniformInt(0, span));
+  });
+  families.emplace_back("sliding run", [window](Rng& rng, int step) {
+    const std::int64_t back = rng.uniformInt(0, static_cast<std::int64_t>(window));
+    return static_cast<std::uint64_t>(1 + std::max<std::int64_t>(0, step - back));
+  });
+  const auto parts = families;
+  families.emplace_back("mixed", [parts](Rng& rng, int step) {
+    const auto pick = rng.uniformInt(0, static_cast<std::int64_t>(parts.size()) - 1);
+    return parts[static_cast<std::size_t>(pick)].second(rng, step);
+  });
+  return families;
+}
+
+TEST(SeqWindow, MatchesRingPlusSetReferenceOnSparseKeys) {
+  for (const std::size_t window : {4ul, 64ul, 1024ul}) {
+    for (const auto& [family, next] : sparseKeyFamilies(window)) {
+      SeqWindow win(window);
+      std::unordered_set<std::uint64_t> refSeen;
+      std::vector<std::uint64_t> refRing(window, 0);
+      std::size_t refPos = 0;
+      Rng rng(4321 + window);
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t seq = next(rng, i);
+        const bool refDup = refSeen.count(seq) > 0;
+        if (!refDup) {
+          const std::uint64_t evicted = refRing[refPos];
+          if (evicted != 0) refSeen.erase(evicted);
+          refRing[refPos] = seq;
+          refPos = (refPos + 1) % refRing.size();
+          refSeen.insert(seq);
+        }
+        ASSERT_EQ(win.checkAndInsert(seq), refDup)
+            << family << " window=" << window << " step " << i;
+      }
+    }
+  }
+}
+
+TEST(SeqWindowMap, MatchesRingPlusMapReferenceOnSparseKeys) {
+  for (const std::size_t window : {128ul, 1024ul}) {
+    for (const auto& [family, next] : sparseKeyFamilies(window)) {
+      SeqWindowMap<std::vector<int>> map(window);
+      std::unordered_map<std::uint64_t, std::vector<int>> ref;
+      std::vector<std::uint64_t> refRing(window, 0);
+      std::size_t refPos = 0;
+      Rng rng(99 + window);
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t seq = next(rng, i);
+        auto it = ref.find(seq);
+        if (it == ref.end()) {
+          const std::uint64_t evicted = refRing[refPos];
+          if (evicted != 0) ref.erase(evicted);
+          refRing[refPos] = seq;
+          refPos = (refPos + 1) % refRing.size();
+          it = ref.emplace(seq, std::vector<int>{}).first;
+        }
+        auto& val = map.at(seq);
+        ASSERT_EQ(val, it->second) << family << " window=" << window << " step " << i;
+        if (rng.bernoulli(0.5)) {
+          const int face = static_cast<int>(rng.uniformInt(0, 8));
+          val.push_back(face);
+          it->second.push_back(face);
+        }
+      }
+    }
   }
 }
 

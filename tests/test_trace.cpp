@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -160,6 +162,14 @@ TEST(PlayerAssignment, SmallCountsFallBackToRoundRobin) {
   Rng rng(3);
   const auto pos = assignPlayersToAreas(w.map, rng, 10, 4, 20);
   EXPECT_EQ(pos.size(), 10u);
+}
+
+TEST(PlayerAssignment, MorePlayersThanTheAreasHoldIsRejected) {
+  TraceWorld w;
+  Rng rng(3);
+  const std::size_t capacity = w.map.areas().size() * 20;
+  EXPECT_EQ(assignPlayersToAreas(w.map, rng, capacity, 4, 20).size(), capacity);
+  EXPECT_THROW(assignPlayersToAreas(w.map, rng, capacity + 1, 4, 20), std::invalid_argument);
 }
 
 }  // namespace
