@@ -142,6 +142,12 @@ struct MoveCase {
   std::size_t downloads;
 };
 
+// Without this gtest prints the raw struct bytes (two string-literal
+// addresses and padding), so the case names would change every run.
+void PrintTo(const MoveCase& c, std::ostream* os) {
+  *os << "from " << c.from << " to " << c.to;
+}
+
 class MoveClassification : public ::testing::TestWithParam<MoveCase> {};
 
 TEST_P(MoveClassification, MatchesTableIII) {
