@@ -13,7 +13,7 @@ With --parallel-fresh it additionally gates the multithreaded DES engine
 (BENCH_parallel schema): every config must have reproduced the serial run
 bit-identically ("identical": true), and — when the host that produced the
 fresh run had >= 4 hardware threads — the threads=4 row must be at least
---min-speedup (default 1.3x) faster than serial in events/sec. Hosts with
+--min-speedup (default 1.6x) faster than serial in events/sec. Hosts with
 fewer hardware threads run the equivalence check only; scaling cannot be
 certified on hardware that cannot scale, and pretending otherwise would just
 make the gate flaky.
@@ -40,7 +40,7 @@ Usage:
   scripts/bench_check.py --fresh BENCH_core_quick.json [--baseline BENCH_core.json]
                          [--threshold 0.20]
                          [--parallel-fresh BENCH_parallel_quick.json]
-                         [--min-speedup 1.3]
+                         [--min-speedup 1.6]
                          [--congestion-fresh BENCH_congestion_quick.json]
                          [--congestion-baseline BENCH_congestion.json]
                          [--hybrid-fresh BENCH_hybrid_quick.json]
@@ -238,7 +238,7 @@ def main():
                     help="allowed fractional events/sec regression (default 0.20)")
     ap.add_argument("--parallel-fresh", default=None,
                     help="JSON from a fresh bench_parallel --quick run (optional)")
-    ap.add_argument("--min-speedup", type=float, default=1.3,
+    ap.add_argument("--min-speedup", type=float, default=1.6,
                     help="required threads=4 speedup over serial on >=4-thread "
                          "hosts (default 1.3)")
     ap.add_argument("--congestion-fresh", default=None,

@@ -1,10 +1,87 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace gcopss {
+namespace {
+
+// Radix sort of doubles on their IEEE-754 bit patterns: for values that are
+// >= +0.0 and not NaN, unsigned bit-pattern order is value order and equal
+// values have equal bits, so the result is byte-identical to std::sort's.
+// In place (American flag sort: MSD, 8-bit digits, cycle-leader
+// permutation), so a large sample set needs no second buffer; the first
+// digit starts at the highest bit on which the samples differ, and buckets
+// below kInsertionMax finish by insertion sort.
+constexpr std::size_t kInsertionMax = 32;
+
+inline std::uint64_t keyOf(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void insertionSortByKey(double* a, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const double x = a[i];
+    const std::uint64_t k = keyOf(x);
+    std::size_t j = i;
+    for (; j > 0 && keyOf(a[j - 1]) > k; --j) a[j] = a[j - 1];
+    a[j] = x;
+  }
+}
+
+// Sorts a[0, n) whose keys agree on every bit above shift + 8.
+void flagSort(double* a, std::size_t n, int shift) {
+  if (n <= kInsertionMax) {
+    insertionSortByKey(a, n);
+    return;
+  }
+  auto digit = [shift](double x) { return static_cast<std::size_t>((keyOf(x) >> shift) & 0xFF); };
+  std::array<std::size_t, 256> count{};
+  for (std::size_t i = 0; i < n; ++i) ++count[digit(a[i])];
+  std::array<std::size_t, 256> next{};
+  std::array<std::size_t, 256> end{};
+  std::size_t sum = 0;
+  for (std::size_t d = 0; d < 256; ++d) {
+    next[d] = sum;
+    sum += count[d];
+    end[d] = sum;
+  }
+  for (std::size_t d = 0; d < 256; ++d) {
+    while (next[d] < end[d]) {
+      double x = a[next[d]];
+      for (std::size_t xd = digit(x); xd != d; xd = digit(x)) std::swap(x, a[next[xd]++]);
+      a[next[d]++] = x;
+    }
+  }
+  if (shift == 0) return;
+  const int lower = std::max(0, shift - 8);
+  std::size_t start = 0;
+  for (std::size_t d = 0; d < 256; ++d) {
+    if (count[d] > 1) flagSort(a + start, count[d], lower);
+    start += count[d];
+  }
+}
+
+// Returns false, leaving `v` untouched, if any sample is negative, -0.0 or
+// NaN.
+bool radixSortNonNegative(std::vector<double>& v) {
+  std::uint64_t differ = 0;
+  for (double x : v) {
+    if (std::signbit(x) || std::isnan(x)) return false;
+    differ |= keyOf(x) ^ keyOf(v.front());
+  }
+  if (differ == 0) return true;  // one key: already sorted
+  const int top = 63 - std::countl_zero(differ);
+  flagSort(v.data(), v.size(), std::max(0, top - 7));
+  return true;
+}
+
+// Below this size std::sort is as fast and needs no scratch buffer.
+constexpr std::size_t kRadixMinSamples = 256;
+
+}  // namespace
 
 void RunningStats::add(double x) {
   if (n_ == 0) {
@@ -33,7 +110,7 @@ double RunningStats::ci95HalfWidth() const {
 void SampleSet::ensureSorted() const {
   if (!sorted_) {
     auto& s = const_cast<std::vector<double>&>(samples_);
-    std::sort(s.begin(), s.end());
+    if (s.size() < kRadixMinSamples || !radixSortNonNegative(s)) std::sort(s.begin(), s.end());
     sorted_ = true;
   }
 }

@@ -14,12 +14,19 @@
 namespace gcopss {
 
 // One scheduled event. Owned by an EventPool slab for its whole lifetime;
-// the queue only shuffles pointers.
+// the queue only shuffles pointers. Events pop in (when, sent, tie) order:
+// `sent` is the scheduling lane's clock when the event was scheduled and
+// `tie` a tie-break the scheduler assigns (des/simulator.hpp).
 struct Event {
   SimTime when = 0;
-  std::uint64_t seq = 0;
+  SimTime sent = 0;
+  // The whole key shares the first cache line. `tie` is live while the event
+  // is queued, `nextFree` (the intrusive free list) while it is pooled.
+  union {
+    std::uint64_t tie = 0;
+    Event* nextFree;
+  };
   InlineHandler fn;
-  Event* nextFree = nullptr;  // intrusive free list when pooled
 };
 
 // Slab allocator recycling Event objects through an intrusive free list.
@@ -68,10 +75,11 @@ class EventPool {
 // stays near O(1) occupancy, giving amortized O(1) push/pop against the
 // binary heap's O(log n).
 //
-// Determinism: buckets are min-heaps on exactly the (when, seq) comparator
-// the old priority_queue used, and two events with equal `when` always land
-// in the same bucket — so the global pop order is bit-identical to the
-// heap's, preserving the FIFO-at-equal-timestamp contract.
+// Determinism: buckets are min-heaps on the (when, sent, tie) comparator and
+// two events with equal `when` always land in the same bucket, so the pop
+// order is the comparator's total order whatever the push order was. For a
+// serial Simulator (sent, tie) orders exactly like the old priority_queue's
+// scheduling seq, preserving the FIFO-at-equal-timestamp contract.
 class CalendarQueue {
  public:
   CalendarQueue() { buckets_.resize(kMinBuckets); }
@@ -87,7 +95,8 @@ class CalendarQueue {
     // and a later push may target the gap it skipped (the parallel engine's
     // round merges do this every round; serial call sites can too by pushing
     // an event earlier than the first-ever push). Re-anchoring is O(1) and
-    // leaves pop order untouched — (when, seq) min is position-independent.
+    // leaves pop order untouched — the (when, sent, tie) min is
+    // position-independent.
     if (size_ == 0 || e->when < bucketTop_ - width_) anchor(e->when);
     auto& b = buckets_[bucketIndex(e->when)];
     b.push_back(e);
@@ -96,7 +105,7 @@ class CalendarQueue {
     if (size_ > 2 * buckets_.size()) resize(buckets_.size() * 2);
   }
 
-  // Earliest (when, seq) event, or nullptr. The located bucket is cached and
+  // Earliest (when, sent, tie) event, or nullptr. The located bucket is cached and
   // reused by the next popMin() unless a push intervenes.
   GCOPSS_HOT Event* peekMin() {
     if (size_ == 0) return nullptr;
@@ -123,7 +132,8 @@ class CalendarQueue {
 
   static bool later(const Event* a, const Event* b) {
     if (a->when != b->when) return a->when > b->when;
-    return a->seq > b->seq;
+    if (a->sent != b->sent) return a->sent > b->sent;
+    return a->tie > b->tie;
   }
 
   std::size_t bucketIndex(SimTime when) const {

@@ -1,22 +1,44 @@
 #include "des/parallel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace gcopss {
+namespace {
+
+// Spin-wait hint: lets a sibling hyperthread run while a worker polls.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+// Round-start handoff budget: a worker polls roundGen_ this many times
+// (yielding after the first kPureSpins) before it parks. The main thread
+// publishes the next round a few microseconds after the last barrier of a
+// busy run, well inside the budget; a worker waiting through a long global
+// phase or between run() calls parks instead of burning a core.
+constexpr int kPureSpins = 2000;
+constexpr int kYieldSpins = 200;
+
+}  // namespace
 
 thread_local std::size_t ParallelSimulator::tlsShard_ =
     ParallelSimulator::kNoShard;
 
 ParallelSimulator::ParallelSimulator(Simulator& globalLane, Options opts)
-    : global_(globalLane), lookahead_(opts.lookahead) {
-  assert(opts.workers >= 1 && "need at least one worker shard");
-  assert(lookahead_ > 0 && "zero lookahead cannot make progress");
+    : global_(globalLane) {
+  if (opts.workers < 1) throw std::invalid_argument("ParallelSimulator needs at least one worker");
   shards_.reserve(opts.workers);
   for (std::size_t i = 0; i < opts.workers; ++i) {
     shards_.push_back(std::make_unique<Simulator>());
   }
   outbound_.resize(opts.workers * opts.workers);
-  mergeByDst_.resize(opts.workers);
   threads_.reserve(opts.workers - 1);
   for (std::size_t i = 1; i < opts.workers; ++i) {
     threads_.emplace_back([this, i] { workerLoop(i); });
@@ -24,26 +46,60 @@ ParallelSimulator::ParallelSimulator(Simulator& globalLane, Options opts)
 }
 
 ParallelSimulator::~ParallelSimulator() {
-  {
-    MutexLock lk(mu_);
-    exit_ = true;
-  }
-  cv_.notify_all();
+  exit_.store(true, std::memory_order_relaxed);
+  publishRound();
   for (auto& t : threads_) t.join();
+}
+
+void ParallelSimulator::setLookahead(SimTime l) {
+  if (l <= 0) throw std::invalid_argument("ParallelSimulator lookahead must be positive");
+  lookahead_ = l;
+}
+
+void ParallelSimulator::throwInsideWindow(SimTime when) const {
+  throw std::logic_error(
+      "cross-shard post at t=" + std::to_string(when) + " lands inside the round ending at t=" +
+      std::to_string(window_) + ": a cut link is shorter than the lookahead (" +
+      std::to_string(lookahead_) + ")");
+}
+
+void ParallelSimulator::publishRound() {
+  // seq_cst pairs with awaitRound's parked_ increment and roundGen_ re-read:
+  // either this load sees the parked worker, or that worker sees the new
+  // generation before it waits.
+  roundGen_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) > 0) {
+    MutexLock lk(parkMu_);
+    parkCv_.notify_all();
+  }
+}
+
+std::uint64_t ParallelSimulator::awaitRound(std::uint64_t seen) {
+  for (int spins = 0; spins < kPureSpins + kYieldSpins; ++spins) {
+    const std::uint64_t g = roundGen_.load(std::memory_order_acquire);
+    if (g != seen) return g;
+    if (spins < kPureSpins) {
+      cpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  CvLock lk(parkMu_);
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  std::uint64_t g = roundGen_.load(std::memory_order_seq_cst);
+  while (g == seen) {
+    parkCv_.wait(lk);
+    g = roundGen_.load(std::memory_order_seq_cst);
+  }
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+  return g;
 }
 
 void ParallelSimulator::workerLoop(std::size_t self) {
   std::uint64_t seen = 0;
   for (;;) {
-    {
-      // Plain while-wait (no predicate lambda): the guarded reads of exit_
-      // and round_ stay in a scope where -Wthread-safety can see CvLock's
-      // capability; a lambda body is analyzed as a capability-free function.
-      CvLock lk(mu_);
-      while (!exit_ && round_ == seen) cv_.wait(lk);
-      if (exit_) return;
-      seen = round_;
-    }
+    seen = awaitRound(seen);
+    if (exit_.load(std::memory_order_relaxed)) return;
     runRound(self);
   }
 }
@@ -87,29 +143,15 @@ void ParallelSimulator::runRound(std::size_t self) {
 }
 
 void ParallelSimulator::mergeInbound(std::size_t dst) {
-  auto& in = mergeByDst_[dst];
-  in.clear();
+  // Arrival order does not matter: each post carries its full order key, so
+  // the shard queue places it exactly where a direct post would have.
+  Simulator& s = *shards_[dst];
   const std::size_t k = shards_.size();
   for (std::size_t src = 0; src < k; ++src) {
-    auto& buf = outbound_[src * k + dst];
-    for (auto& r : buf) in.push_back(std::move(r));
+    auto& buf = outbound_[src * k + dst].q;
+    for (Remote& r : buf) s.scheduleKeyedAt(r.when, r.sent, r.tie, std::move(r.fn));
     buf.clear();
   }
-  // Deterministic admission order: the key is a pure function of the
-  // workload ((src, seq) pairs are producer-unique), so the destination
-  // shard assigns identical local seqs no matter how nodes were sharded.
-  std::sort(in.begin(), in.end(), [](const Remote& a, const Remote& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.key.sent != b.key.sent) return a.key.sent < b.key.sent;
-    if (a.key.src != b.key.src) return a.key.src < b.key.src;
-    return a.key.seq < b.key.seq;
-  });
-  Simulator& s = *shards_[dst];
-  for (auto& r : in) {
-    assert(r.when >= window_ && "merged event lands inside the round it left");
-    s.scheduleAt(r.when, std::move(r.fn));
-  }
-  in.clear();
 }
 
 std::uint64_t ParallelSimulator::run(SimTime until) {
@@ -136,19 +178,15 @@ std::uint64_t ParallelSimulator::run(SimTime until) {
       continue;
     }
 
-    // Parallel round over [sMin, W). W only depends on queue minima and the
-    // lookahead — never on thread timing — so the round structure itself is
-    // identical across runs and thread counts.
+    // Parallel round over [sMin, W). Where W falls never changes what any
+    // node executes (every event is ordered by its own key), only how much
+    // work each barrier covers.
     const SimTime cap = (until == INT64_MAX) ? INT64_MAX : until + 1;
     SimTime w = (sMin > INT64_MAX - lookahead_) ? INT64_MAX
                                                 : sMin + lookahead_;
     w = std::min(std::min(w, g), cap);
-    {
-      MutexLock lk(mu_);
-      window_ = w;
-      ++round_;
-    }
-    cv_.notify_all();
+    window_ = w;
+    publishRound();
     runRound(0);  // the calling thread is worker 0
     ++rounds_;
   }

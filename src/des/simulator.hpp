@@ -11,8 +11,12 @@
 namespace gcopss {
 
 // Deterministic discrete-event simulator. Events at equal timestamps fire in
-// scheduling order (FIFO via a monotonically increasing sequence number), so
-// a run is a pure function of its inputs and seeds.
+// scheduling order, so a run is a pure function of its inputs and seeds.
+// Every event carries the key (when, sent, tie): `sent` is now() at
+// scheduling time and `tie` a per-simulator counter. The clock never runs
+// backwards, so (sent, tie) orders exactly like the counter alone — FIFO.
+// scheduleKeyedAt() lets the parallel engine give a delivery a key of its
+// own (des/parallel.hpp); keyed ties sort after every counter tie.
 //
 // Engine: a slab-recycled event pool feeding a calendar queue
 // (des/calendar_queue.hpp) with inline-storage handlers
@@ -20,7 +24,9 @@ namespace gcopss {
 // allocation and push/pop are amortized O(1). The pop order is bit-identical
 // to the binary-heap scheduler this replaced (tests/test_determinism.cpp
 // pins that with goldens recorded under the old engine).
-class Simulator {
+// Cache-line aligned: the parallel engine's shards are Simulators written by
+// different threads, and two of them must not share a line.
+class alignas(64) Simulator {
  public:
   using Handler = InlineHandler;
 
@@ -34,10 +40,20 @@ class Simulator {
 
   template <typename F>
   void scheduleAt(SimTime when, F&& fn) {
+    scheduleKeyedAt(when, now_, nextTie_++, std::forward<F>(fn));
+  }
+
+  // Schedule with a caller-chosen (sent, tie) key. Callers set kKeyedTie in
+  // `tie`, so keyed events sort after every counter-tied event at equal
+  // (when, sent), and keep their keys unique.
+  static constexpr std::uint64_t kKeyedTie = 1ULL << 63;
+  template <typename F>
+  void scheduleKeyedAt(SimTime when, SimTime sent, std::uint64_t tie, F&& fn) {
     assert(when >= now_ && "cannot schedule into the past");
     Event* e = pool_.acquire();
     e->when = when;
-    e->seq = nextSeq_++;
+    e->sent = sent;
+    e->tie = tie;
     e->fn = InlineHandler(std::forward<F>(fn));
     queue_.push(e);
   }
@@ -49,7 +65,7 @@ class Simulator {
   // every run() call makes progress — a stop() issued inside a handler halts
   // only the run() invocation that is currently executing. Calling run()
   // again resumes from the remaining queue: pending events keep their
-  // timestamps and their FIFO order at equal timestamps (the seq counter is
+  // timestamps and their FIFO order at equal timestamps (the tie counter is
   // never reset), so a stop/resume cycle is invisible to event ordering.
   std::uint64_t run(SimTime until = INT64_MAX);
 
@@ -74,7 +90,7 @@ class Simulator {
 
   // Execute every event with when < `window`, including events the handlers
   // schedule into the same window. Ignores stop(); the windowed driver owns
-  // termination. Same (when, seq) pop order as run().
+  // termination. Same (when, sent, tie) pop order as run().
   std::uint64_t runUntilBefore(SimTime window);
 
   // Jump the clock to `t` without executing anything. Only legal when no
@@ -90,7 +106,7 @@ class Simulator {
   CalendarQueue queue_;
   EventPool pool_;
   SimTime now_ = 0;
-  std::uint64_t nextSeq_ = 0;
+  std::uint64_t nextTie_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
 };

@@ -214,7 +214,6 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
   if (cfg.threads > 0) {
     ParallelSimulator::Options po;
     po.workers = cfg.threads;
-    po.lookahead = topo.minLinkDelay();
     psim = std::make_unique<ParallelSimulator>(sim, po);
     net.enableParallel(*psim);
   }
@@ -317,8 +316,8 @@ RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
     // The pump's one-pending-event chain lives on the global lane, and every
     // global event parks the workers — it would serialize the whole run.
     // Pre-schedule each publication directly on its publisher's shard
-    // instead; scheduling happens here, in setup order, so the per-shard
-    // (when, seq) assignment is identical on every run and thread count.
+    // instead; scheduling happens here, in setup order, so every
+    // publication's (when, sent, tie) key is fixed before the run starts.
     for (std::size_t i = 0; i < trace.records.size(); ++i) {
       const trace::TraceRecord& rec = trace.records[i];
       GCopssClient* c = clients[rec.playerId];

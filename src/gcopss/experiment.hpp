@@ -109,8 +109,9 @@ struct GCopssRunConfig {
   LinkQueueConfig linkQueues;
 
   // Event engine. 0 = the classic serial Simulator. N >= 1 = the
-  // ParallelSimulator with N worker shards (nodes partitioned round-robin,
-  // conservative lookahead = the topology's min link delay). Results are
+  // ParallelSimulator with N worker shards (nodes partitioned by
+  // partitionShards so short links stay inside a shard; conservative
+  // lookahead = the minimum delay over the links it cuts). Results are
   // bit-identical across N — including N=1 vs the serial engine — by the
   // deterministic-merge contract (docs/ARCHITECTURE.md). Fault plans used
   // with threads > 0 must be built withIndependentStreams().

@@ -10,8 +10,9 @@ namespace gcopss::metrics {
 
 // End-to-end update-latency collector. One sample per (publication,
 // subscriber) delivery, plus a per-publication min/avg/max series indexed by
-// publication sequence — the x-axis of the paper's Fig. 5 plots.
-class LatencyRecorder {
+// publication sequence — the x-axis of the paper's Fig. 5 plots. Cache-line
+// aligned: parallel runs keep one recorder per shard side by side.
+class alignas(64) LatencyRecorder {
  public:
   explicit LatencyRecorder(std::size_t expectedPublications = 0) {
     if (expectedPublications > 0) perPub_.reserve(expectedPublications);

@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
+
+#include "net/partition.hpp"
 
 namespace gcopss {
 
@@ -48,7 +51,12 @@ void Network::attach(std::unique_ptr<Node> node) {
   assert(idx < topo_.nodeCount() && "node id must come from the topology");
   if (nodes_.size() <= idx) nodes_.resize(idx + 1);
   assert(!nodes_[idx] && "node id already attached");
-  if (par_) node->shardSim_ = &par_->shard(shardOf_[idx]);
+  if (par_) {
+    if (idx >= shardOf_.size()) {
+      throw std::logic_error("Network::attach: node added to the topology after enableParallel");
+    }
+    node->shardSim_ = &par_->shard(shardOf_[idx]);
+  }
   nodes_[idx] = std::move(node);
 }
 
@@ -127,10 +135,11 @@ void Network::transmit(NodeId from, NodeId to, PacketPtr pkt) {
     arrival += verdict.extraDelay;  // jitter / reorder hold
   }
   if (par_) {
-    // Every delivery — same-shard or not — funnels through the engine's
-    // merge with a key that ignores the shard mapping, so per-node event
-    // order is identical at any thread count. (Capture fits InlineHandler's
-    // inline storage: 24 bytes.)
+    // Every delivery carries a key that ignores the shard mapping; the
+    // destination shard orders it by that key whether it arrives directly
+    // (same shard) or through the round merge, so per-node event order is
+    // identical at any thread count. (Capture fits InlineHandler's inline
+    // storage: 24 bytes.)
     const ParallelSimulator::RemoteKey key{
         now, static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)),
         sender.sendSeq_++};
@@ -179,7 +188,7 @@ void Network::transmitQueued(NodeId from, NodeId to, PacketPtr pkt) {
   sender.shardSim_->scheduleAt(adm.txDone, [&q, sz = pkt->size]() { q.depart(sz); });
   // Receiver sees the packet one propagation delay after the last bit
   // leaves. txDone >= now, so cross-shard arrivals still respect the
-  // min-propagation-delay lookahead the parallel engine is built on.
+  // cut-link-delay lookahead the parallel engine is built on.
   const SimTime arrival = (adm.txDone - now) + link.delay + extraDelay;
   if (par_) {
     const ParallelSimulator::RemoteKey key{
@@ -254,26 +263,41 @@ void Network::enableParallel(ParallelSimulator& psim) {
   static_assert(PacketThreading::kAtomicRefCount,
                 "Network::enableParallel requires atomic Packet refcounts; "
                 "rebuild without GCOPSS_SERIAL_REFCOUNT for --threads > 1");
-  assert(&psim.globalLane() == &sim_ &&
-         "psim's global lane must be this network's Simulator");
-  assert(!observer_ && "packet observers are serial-only");
-  assert(psim.lookahead() <= topo_.minLinkDelay() &&
-         "conservative lookahead must not exceed the min link delay");
-  assert((!fault_ || fault_->plan().links.empty() ||
-          fault_->plan().independentStreams) &&
-         "parallel fault plans need FaultPlan::withIndependentStreams()");
+  if (&psim.globalLane() != &sim_) {
+    throw std::logic_error(
+        "Network::enableParallel: the engine's global lane must be this network's Simulator");
+  }
+  if (observer_) {
+    throw std::logic_error(
+        "Network::enableParallel: packet observers are serial-only; clear the observer first");
+  }
+  requireIndependentFaultStreams(fault_.get());
+  if (topo_.nodeCount() > ParallelSimulator::kMaxKeySrc + 1) {
+    throw std::length_error("Network::enableParallel: too many nodes for the post key");
+  }
+  ShardPartition part = partitionShards(topo_, psim.workerCount());
+  if (psim.lookahead() != ParallelSimulator::kUnbounded && psim.lookahead() > part.lookahead) {
+    throw std::logic_error("Network::enableParallel: the engine's lookahead (" +
+                           std::to_string(psim.lookahead()) +
+                           ") exceeds the minimum cut-link delay (" +
+                           std::to_string(part.lookahead) + ")");
+  }
+  if (psim.lookahead() == ParallelSimulator::kUnbounded &&
+      part.lookahead != ParallelSimulator::kUnbounded) {
+    psim.setLookahead(part.lookahead);
+  }
   par_ = &psim;
-  const std::size_t k = psim.workerCount();
-  shardOf_.resize(topo_.nodeCount());
-  for (std::size_t i = 0; i < shardOf_.size(); ++i) shardOf_[i] = i % k;
-  shardMeters_.assign(k, ShardMeter{});
+  shardOf_ = std::move(part.shardOf);
+  shardMeters_.assign(psim.workerCount(), ShardMeter{});
   for (auto& n : nodes_) {
     if (n) n->shardSim_ = &psim.shard(shardOf_[static_cast<std::size_t>(n->id())]);
   }
 }
 
 void Network::applyFaultPlan(const FaultPlan& plan) {
-  fault_ = std::make_unique<FaultInjector>(plan);
+  auto injector = std::make_unique<FaultInjector>(plan);
+  if (par_) requireIndependentFaultStreams(injector.get());
+  fault_ = std::move(injector);
   if (plan.independentStreams) {
     // Build every directed link's RNG lane up front: at run time a lane is
     // touched only by the shard owning the sending endpoint, and the lane
@@ -300,6 +324,19 @@ void Network::applyFaultPlan(const FaultPlan& plan) {
       });
     }
   }
+}
+
+void Network::requireIndependentFaultStreams(const FaultInjector* fault) {
+  if (fault && !fault->plan().links.empty() && !fault->plan().independentStreams) {
+    throw std::logic_error(
+        "parallel fault plans need FaultPlan::withIndependentStreams(): a shared RNG stream "
+        "would be drawn in shard-timing order");
+  }
+}
+
+void Network::setObserver(PacketObserver* obs) {
+  if (obs && par_) throw std::logic_error("Network::setObserver: packet observers are serial-only");
+  observer_ = obs;
 }
 
 void Network::setNodeFailed(NodeId id, bool failed) {

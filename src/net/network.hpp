@@ -24,8 +24,9 @@ class Network;
 // the neighbour's NodeId (the paper's per-face IPC ports collapse to this in
 // simulation). Each node owns a FIFO CPU: arriving packets queue for
 // serviceTime() before handle() runs — this queueing is what produces the
-// RP/server congestion the evaluation studies.
-class Node {
+// RP/server congestion the evaluation studies. Cache-line aligned, so two
+// nodes on different shards never write the same line.
+class alignas(64) Node {
  public:
   Node(NodeId id, Network& net);
   virtual ~Node() = default;
@@ -161,20 +162,20 @@ class Network {
   // caller keeps ownership and must clear it (or outlive the Network) before
   // the observer dies. Null = no tap, zero overhead beyond a pointer test.
   // Serial-only: observers see a single global event order that does not
-  // exist under the parallel engine (asserted both ways).
-  void setObserver(PacketObserver* obs) {
-    assert(!(obs && par_) && "packet observers are serial-only");
-    observer_ = obs;
-  }
+  // exist under the parallel engine (throws std::logic_error both ways).
+  void setObserver(PacketObserver* obs);
   PacketObserver* observer() const { return observer_; }
 
-  // Switch this network onto the parallel engine: nodes are partitioned
-  // round-robin across `psim`'s shards, every node's lane becomes its
-  // shard's Simulator, and transmits route through the engine's
-  // deterministic cross-shard merge. Call after attaching nodes and before
-  // scheduling any traffic; psim's global lane must be this network's
-  // Simulator. Requires: no observer, lookahead <= minLinkDelay, and any
-  // fault plan built withIndependentStreams().
+  // Switch this network onto the parallel engine: nodes are mapped onto
+  // `psim`'s shards by partitionShards (net/partition.hpp: short links are
+  // never cut), every node's lane becomes its shard's Simulator, transmits
+  // become keyed engine posts, and the engine's lookahead is set to the
+  // minimum delay over the links the partition cuts. Call once the topology
+  // is final and nodes are attached, before scheduling any traffic. Throws
+  // std::logic_error when psim's global lane is not this network's
+  // Simulator, an observer is set, a fault plan lacks
+  // withIndependentStreams(), or psim already has a lookahead above the
+  // partition's minimum cut-link delay.
   void enableParallel(ParallelSimulator& psim);
   bool parallelEnabled() const { return par_ != nullptr; }
   ParallelSimulator* parallel() { return par_; }
@@ -222,6 +223,7 @@ class Network {
     }
     return t;
   }
+  static void requireIndependentFaultStreams(const FaultInjector* fault);
   void meterTx(Bytes size);
   void meterDrop();
   void meterQueueDrop();

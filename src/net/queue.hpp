@@ -20,8 +20,9 @@ namespace gcopss {
 //
 // Determinism contract (docs/ARCHITECTURE.md): all queueing happens on the
 // *sender's* side, before the packet crosses a shard boundary, so the
-// parallel engine's conservative lookahead stays the minimum propagation
-// delay — serialization only pushes arrivals later, never earlier. A face
+// parallel engine's conservative lookahead stays the minimum cut-link
+// propagation delay — serialization only pushes arrivals later, never
+// earlier. A face
 // queue is touched exclusively by the lane that owns its sending node
 // (transmits and serialization completions both run there), so the hot path
 // needs no locks and serial-vs-parallel runs stay bit-identical.

@@ -39,14 +39,6 @@ class Topology {
   // unaffected, so no route invalidation is needed).
   void setLinkBandwidth(NodeId a, NodeId b, double bps);
   void setAllBandwidths(double bps);
-  // Smallest propagation delay over all links; 0 on an empty graph. This is
-  // the upper bound for the parallel engine's conservative lookahead: no
-  // packet can cross a shard boundary in less simulated time.
-  SimTime minLinkDelay() const {
-    SimTime m = 0;
-    for (const Link& l : links_) m = (m == 0 || l.delay < m) ? l.delay : m;
-    return m;
-  }
   const std::vector<NodeId>& neighbors(NodeId n) const {
     return adjacency_.at(static_cast<std::size_t>(n));
   }

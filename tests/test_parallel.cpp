@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,28 +21,104 @@ namespace {
 // sequencing. These drive ParallelSimulator directly, no network on top.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelSimulator, CrossShardMergeOrdersByKeyNotArrival) {
-  Simulator global;
-  ParallelSimulator::Options po;
-  po.workers = 2;
-  po.lookahead = ms(1);
-  ParallelSimulator psim(global, po);
+// Three producers A, B, C on either engine. On the parallel one A and B
+// share shard 0 and C lives on shard 1 % workers; `workers == 0` runs the
+// same script on one serial Simulator. Local events stand in for CPU
+// completions, sends for link deliveries (keyed posts on the engine).
+struct TieWorld {
+  static constexpr std::uint64_t kA = 1, kB = 2, kC = 3;
 
-  // Both shards post into shard 0 at the same target time. The merge must
-  // order by (sent, src, seq) regardless of which worker merged first.
-  std::vector<int> order;
-  psim.shard(0).scheduleAt(0, [&psim, &order]() {
-    psim.post(0, ms(2), {0, /*src=*/5, /*seq=*/0}, [&order]() { order.push_back(5); });
+  TieWorld(std::size_t workers, SimTime lookahead) {
+    if (workers > 0) {
+      par = std::make_unique<ParallelSimulator>(global, ParallelSimulator::Options{workers});
+      par->setLookahead(lookahead);
+    }
+  }
+
+  std::size_t shardOf(std::uint64_t node) const {
+    return par && node == kC ? 1 % par->workerCount() : 0;
+  }
+  Simulator& lane(std::uint64_t node) { return par ? par->shard(shardOf(node)) : global; }
+
+  template <typename F>
+  void at(std::uint64_t node, SimTime t, F fn) {
+    lane(node).scheduleAt(t, std::move(fn));
+  }
+  void local(std::uint64_t node, SimTime delay, const char* tag) {
+    lane(node).schedule(delay, [this, tag]() { order.emplace_back(tag); });
+  }
+  void send(std::uint64_t from, std::uint64_t to, SimTime delay, const char* tag) {
+    auto rec = [this, tag]() { order.emplace_back(tag); };
+    if (!par) {
+      global.schedule(delay, rec);
+      return;
+    }
+    const SimTime now = lane(from).now();
+    par->post(shardOf(to), now + delay, {now, from, sendSeq[from]++}, rec);
+  }
+  void run() {
+    if (par) {
+      par->run();
+    } else {
+      global.run();
+    }
+  }
+
+  Simulator global;
+  std::unique_ptr<ParallelSimulator> par;
+  std::uint64_t sendSeq[4] = {};
+  std::vector<std::string> order;
+};
+
+std::vector<std::string> runTies(std::size_t workers, SimTime lookahead) {
+  TieWorld w(workers, lookahead);
+  // Arrivals at A at t=2ms and t=5ms from local timers (A), a co-sharded
+  // sender (B) and a remote one (C), sent at t=0, 0.5ms and 1ms. The serial
+  // engine orders equal-time events by when they were scheduled, and at
+  // equal send time by producer (A's, then B's, then C's events run first).
+  w.at(TieWorld::kA, 0, [&w]() {
+    w.local(TieWorld::kA, ms(2), "A@2/0");
+    w.local(TieWorld::kA, ms(5), "A@5/0");
   });
-  psim.shard(1).scheduleAt(0, [&psim, &order]() {
-    psim.post(0, ms(2), {0, /*src=*/3, /*seq=*/0}, [&order]() { order.push_back(3); });
-    psim.post(0, ms(2), {0, /*src=*/3, /*seq=*/1}, [&order]() { order.push_back(4); });
+  w.at(TieWorld::kB, us(500), [&w]() {
+    w.send(TieWorld::kB, TieWorld::kA, us(1500), "B@2/0.5");  // lands inside the round
   });
-  psim.run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 3);  // lower src first at equal (when, sent)
-  EXPECT_EQ(order[1], 4);  // then its second send
-  EXPECT_EQ(order[2], 5);
+  w.at(TieWorld::kC, us(500), [&w]() {
+    w.send(TieWorld::kC, TieWorld::kA, us(4500), "C@5/0.5");  // merged arrival
+  });
+  w.at(TieWorld::kA, ms(1), [&w]() {
+    w.local(TieWorld::kA, ms(1), "A@2/1");
+    w.local(TieWorld::kA, ms(4), "A@5/1");  // CPU-done vs arrivals sent at 1ms
+  });
+  w.at(TieWorld::kB, ms(1), [&w]() { w.send(TieWorld::kB, TieWorld::kA, ms(4), "B@5/1"); });
+  w.at(TieWorld::kC, ms(1), [&w]() { w.send(TieWorld::kC, TieWorld::kA, ms(4), "C@5/1"); });
+  w.run();
+  return w.order;
+}
+
+TEST(ParallelSimulator, EqualTimeTiesInsideOneRoundFollowSerialOrder) {
+  const std::vector<std::string> serial = runTies(0, 0);
+  const std::vector<std::string> expected = {"A@2/0", "B@2/0.5", "A@2/1", "A@5/0",
+                                             "C@5/0.5", "A@5/1", "B@5/1", "C@5/1"};
+  ASSERT_EQ(serial, expected);
+  // Lookaheads up to C's 4 ms delay; the widest puts every send, the
+  // co-sharded 1.5 ms one included, inside the first round.
+  for (std::size_t workers : {1u, 2u}) {
+    for (SimTime lookahead : {us(250), ms(1), ms(2), ms(4)}) {
+      EXPECT_EQ(runTies(workers, lookahead), serial)
+          << "workers=" << workers << " lookahead=" << lookahead;
+    }
+  }
+}
+
+TEST(ParallelSimulator, CrossShardPostInsideTheWindowThrows) {
+  Simulator global;
+  ParallelSimulator psim(global, ParallelSimulator::Options{2});
+  psim.setLookahead(ms(4));
+  psim.shard(1).scheduleAt(0, [&psim]() {
+    psim.post(0, ms(1), {0, /*src=*/1, /*seq=*/0}, []() {});  // 1 ms < lookahead
+  });
+  EXPECT_THROW(psim.run(), std::logic_error);
 }
 
 TEST(ParallelSimulator, GlobalLaneRunsBeforeShardEventsAtSameTime) {
@@ -116,12 +193,23 @@ struct TraceDigest {
   }
 };
 
-// One fixed workload over the 6-router ring: root + /1 subscribers, 60
+// Router ring of a goldens world. The default is six routers on 1 ms
+// links, like every client link, so the partition cuts 1 ms links
+// (singleton clusters). `Split` has eight routers on 5 ms links: each
+// client stays with its router, the ring is cut and the lookahead is 5 ms.
+struct Ring {
+  std::size_t routers = 6;
+  SimTime linkDelay = ms(1);
+};
+constexpr Ring kSplit{8, ms(5)};
+
+// One fixed workload over a router ring: root + /1 subscribers, 60
 // publishes from client 1. `threads == 0` = serial engine. With `chaos`,
 // a loss/jitter/reorder plan (independent per-link streams) plus an RP
 // crash with heartbeat failover runs underneath.
-TraceDigest runWorld(std::size_t threads, bool chaos, std::uint64_t seed = 42) {
-  LineWorld w(6, {}, SimParams::largeScale(), /*ring=*/true);
+TraceDigest runWorld(std::size_t threads, bool chaos, std::uint64_t seed = 42,
+                     Ring ring = {}) {
+  LineWorld w(ring.routers, {}, SimParams::largeScale(), /*ring=*/true, ring.linkDelay);
   w.singleRootRp(2);
 
   std::unique_ptr<ParallelSimulator> psim;
@@ -129,7 +217,6 @@ TraceDigest runWorld(std::size_t threads, bool chaos, std::uint64_t seed = 42) {
     w.checker.reset();  // observers are serial-only
     ParallelSimulator::Options po;
     po.workers = threads;
-    po.lookahead = w.topo->minLinkDelay();
     psim = std::make_unique<ParallelSimulator>(*w.sim, po);
   }
 
@@ -221,6 +308,33 @@ TEST(ParallelDeterminism, ChaosWithFailoverSeedStableAcrossThreadCounts) {
     EXPECT_EQ(par, serial) << "threads=" << threads
                            << ": chaos runs must be seed-stable across "
                               "thread counts";
+  }
+}
+
+TEST(ParallelDeterminism, SplitRingTraceIdenticalAcrossThreadCounts) {
+  {
+    // The world really splits: clients stay with their routers, the ring
+    // is cut, and the engine runs with the 5 ms lookahead.
+    LineWorld w(kSplit.routers, {}, SimParams::largeScale(), /*ring=*/true, kSplit.linkDelay);
+    w.checker.reset();
+    ParallelSimulator psim(*w.sim, ParallelSimulator::Options{4});
+    w.net->enableParallel(psim);
+    EXPECT_EQ(psim.lookahead(), ms(5));
+    for (std::size_t i = 0; i < w.clientIds.size(); ++i) {
+      EXPECT_EQ(w.net->shardOf(w.clientIds[i]), w.net->shardOf(w.routerIds[i]));
+    }
+  }
+  for (bool chaos : {false, true}) {
+    const TraceDigest serial = runWorld(0, chaos, 42, kSplit);
+    EXPECT_GT(serial.deliveries, 0u);
+    if (chaos) {
+      EXPECT_GT(serial.drops, 0u) << "the plan must actually inject faults";
+    }
+    for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+      EXPECT_EQ(runWorld(threads, chaos, 42, kSplit), serial)
+          << "threads=" << threads << " chaos=" << chaos
+          << ": per-client traces must equal the serial engine's";
+    }
   }
 }
 

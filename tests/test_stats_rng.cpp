@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "metrics/latency.hpp"
@@ -49,6 +54,42 @@ TEST(SampleSet, InterleavedAddAndQuery) {
   s.add(1.0);
   s.add(2.0);
   EXPECT_DOUBLE_EQ(s.percentile(0.5), 2.0);  // re-sorts after mutation
+}
+
+// percentile() sorts non-negative samples by a radix sort on their bit
+// patterns; the sorted samples must be byte-identical to std::sort's.
+TEST(SampleSet, RadixSortedSamplesMatchStdSortBytewise) {
+  Rng rng(11);
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  for (std::size_t n : {1u, 255u, 256u, 257u, 1000u, 20000u}) {
+    for (int variant = 0; variant < 4; ++variant) {
+      SampleSet s;
+      std::vector<double> ref;
+      for (std::size_t i = 0; i < n; ++i) {
+        double x = 0.0;
+        switch (rng.uniformInt(0, 7)) {
+          case 0: x = 0.0; break;
+          case 1: x = subnormal * static_cast<double>(rng.uniformInt(1, 1000)); break;
+          case 2: x = static_cast<double>(rng.uniformInt(0, 20));  // duplicates
+            break;
+          case 3: x = std::numeric_limits<double>::max() / static_cast<double>(rng.uniformInt(1, 9));
+            break;
+          case 4: x = std::numeric_limits<double>::infinity(); break;
+          default: x = rng.exponential(0.064);  // latency-like seconds
+        }
+        if (variant == 1 && i == n / 2) x = -x - 1.0;  // negative: std::sort path
+        if (variant == 2 && i == n / 3) x = -0.0;       // -0.0: std::sort path
+        if (variant == 3) x = 0.0;                      // one key everywhere
+        s.add(x);
+        ref.push_back(x);
+      }
+      std::sort(ref.begin(), ref.end());
+      (void)s.percentile(0.5);  // sorts in place
+      ASSERT_EQ(s.samples().size(), ref.size());
+      EXPECT_EQ(std::memcmp(s.samples().data(), ref.data(), ref.size() * sizeof(double)), 0)
+          << "n=" << n << " variant=" << variant;
+    }
+  }
 }
 
 TEST(Rng, DeterministicPerSeed) {

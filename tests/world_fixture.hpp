@@ -19,7 +19,8 @@ namespace gcopss::test {
 
 // A small G-COPSS world for integration tests: a line of COPSS routers with
 // one client per router, all wiring done explicitly so tests can poke at any
-// table. Layout: client[i] -- router[i] -- router[i+1] ...
+// table. Layout: client[i] -- router[i] -- router[i+1] ... Client links are
+// 1 ms; router links `routerLinkDelay` (default 1 ms).
 //
 // Every world runs under the invariant checker (src/check): by default only
 // the packet-conservation ledger, audited when the world is torn down, so
@@ -30,15 +31,15 @@ struct LineWorld {
   explicit LineWorld(std::size_t routerCount,
                      copss::CopssRouter::Options opts = {},
                      SimParams params = SimParams::largeScale(),
-                     bool ring = false) {
+                     bool ring = false, SimTime routerLinkDelay = ms(1)) {
     sim = std::make_unique<Simulator>();
     topo = std::make_unique<Topology>();
     for (std::size_t i = 0; i < routerCount; ++i) {
       routerIds.push_back(topo->addNode("R" + std::to_string(i)));
-      if (i > 0) topo->addLink(routerIds[i - 1], routerIds[i], ms(1));
+      if (i > 0) topo->addLink(routerIds[i - 1], routerIds[i], routerLinkDelay);
     }
     if (ring && routerCount > 2) {
-      topo->addLink(routerIds.back(), routerIds.front(), ms(1));
+      topo->addLink(routerIds.back(), routerIds.front(), routerLinkDelay);
     }
     for (std::size_t i = 0; i < routerCount; ++i) {
       clientIds.push_back(topo->addNode("C" + std::to_string(i)));
