@@ -5,9 +5,11 @@
 // mutation:
 //   * soundness — every live exact subscription still probes true in its
 //     face's counting Bloom filter (the invariant src/check audits in-world);
-//   * differential match — the hashed fast path returns the same face set as
-//     the exact slow path, given the prefix hashes a real MulticastPacket
-//     would carry;
+//   * differential match — the production matcher (bit-plane sweep + match
+//     cache) returns the same faces, in the same order, with the same Bloom
+//     false-positive count as the per-face reference model
+//     (tests/st_reference.hpp) fed the same op stream, given the prefix
+//     hashes a real MulticastPacket would carry;
 //   * refcount bookkeeping — subscribe/unsubscribe return values agree with
 //     an independent shadow multiset.
 // Violations abort() so the fuzzer records the input.
@@ -23,6 +25,7 @@
 #include "copss/packets.hpp"
 #include "copss/st.hpp"
 #include "fuzz/byte_source.hpp"
+#include "tests/st_reference.hpp"
 
 using namespace gcopss;
 
@@ -62,15 +65,19 @@ void checkSoundness(const copss::SubscriptionTable& st) {
   }
 }
 
-void checkDifferential(const copss::SubscriptionTable& st,
+void checkDifferential(const copss::SubscriptionTable& st, test::StReference& ref,
                        const std::vector<Name>& cds, NodeId exclude) {
   // prefixHashes exactly as a decoded MulticastPacket would carry them.
   const auto m = makePacket<copss::MulticastPacket>(cds, 0, 0, 0, 0);
-  std::vector<NodeId> slow = st.matchFaces(cds, exclude);
-  std::vector<NodeId> fast = st.matchFacesHashed(cds, m->prefixHashes, exclude);
-  std::sort(slow.begin(), slow.end());
-  std::sort(fast.begin(), fast.end());
-  if (slow != fast) fail("hashed match diverges from exact match");
+  const std::uint64_t refFp = ref.falsePositives();
+  const std::vector<NodeId> expected = ref.match(cds, m->prefixHashes, exclude);
+  const std::uint64_t fp = st.bloomFalsePositives();
+  std::vector<NodeId> got;
+  st.matchFacesHashedInto(cds, m->prefixHashes, m->matchKey, exclude, got);
+  if (got != expected) fail("production match diverges from the reference model");
+  if (st.bloomFalsePositives() - fp != ref.falsePositives() - refFp) {
+    fail("false-positive count diverges from the reference model");
+  }
 }
 
 }  // namespace
@@ -84,6 +91,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   opts.bloomBits = 64;  // tiny: collisions on nearly every op
   opts.bloomHashes = 1 + src.below(4);
   copss::SubscriptionTable st(opts);
+  test::StReference ref(opts);
 
   // Shadow model: exact per-face refcounts.
   std::map<NodeId, std::map<Name, std::uint32_t>> shadow;
@@ -95,11 +103,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     switch (src.below(4)) {
       case 0: {
         st.subscribe(face, cd);
+        ref.subscribe(face, cd);
         ++shadow[face][cd];
         break;
       }
       case 1: {
         const bool removed = st.unsubscribe(face, cd);
+        ref.unsubscribe(face, cd);
         auto& counts = shadow[face];
         const auto it = counts.find(cd);
         if (it != counts.end() && --it->second == 0) counts.erase(it);
@@ -108,13 +118,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       }
       case 2:
         st.prune(face, cd);
+        ref.prune(face, cd);
         break;
       default: {
         std::vector<Name> cds{cd};
         if (src.boolean()) {
           cds.push_back(pool[src.below(static_cast<std::uint32_t>(pool.size()))]);
         }
-        checkDifferential(st, cds, src.boolean() ? face : kInvalidNode);
+        checkDifferential(st, ref, cds, src.boolean() ? face : kInvalidNode);
         break;
       }
     }

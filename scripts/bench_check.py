@@ -240,7 +240,7 @@ def main():
                     help="JSON from a fresh bench_parallel --quick run (optional)")
     ap.add_argument("--min-speedup", type=float, default=1.6,
                     help="required threads=4 speedup over serial on >=4-thread "
-                         "hosts (default 1.3)")
+                         "hosts (default 1.6)")
     ap.add_argument("--congestion-fresh", default=None,
                     help="JSON from a fresh bench_congestion --quick run (optional)")
     ap.add_argument("--congestion-baseline", default="BENCH_congestion.json",

@@ -1,13 +1,15 @@
 #include "common/bloom.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace gcopss {
 
 CountingBloomFilter::CountingBloomFilter(std::size_t bits, unsigned k)
     : counters_(bits, 0), k_(k), schedule_(bits, k) {
-  assert(bits > 0 && k > 0);
+  if (bits == 0 || k == 0) {
+    throw std::invalid_argument("CountingBloomFilter: bits and k must be > 0");
+  }
 }
 
 void CountingBloomFilter::clear() {

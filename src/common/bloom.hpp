@@ -39,7 +39,7 @@ class BloomProbeSchedule {
   }
 
   // Like forEachProbe, but stops as soon as `fn` returns false (the ST's
-  // batched sweep bails once its candidate word set goes empty). Returns
+  // bit-plane sweep bails once its candidate word set goes empty). Returns
   // true iff every probe ran.
   template <typename Fn>
   bool forEachProbeWhile(std::uint64_t nameHash, Fn&& fn) const {
@@ -105,14 +105,14 @@ class CountingBloomFilter {
     return true;
   }
 
-  // Probe positions for `nameHash`, in probe order — the batched index
+  // Probe positions for `nameHash`, in probe order — the bit-plane index
   // mirrors counter transitions into per-bit face words through this.
   template <typename Fn>
   void forEachProbe(std::uint64_t nameHash, Fn&& fn) const {
     schedule_.forEachProbe(nameHash, std::forward<Fn>(fn));
   }
 
-  // Raw counter value at `idx` (batched-index rebuild: a face's plane bit is
+  // Raw counter value at `idx` (bit-plane rebuild: a face's plane bit is
   // set iff the counter is non-zero).
   std::uint8_t counterAt(std::size_t idx) const { return counters_[idx]; }
 

@@ -87,12 +87,21 @@ NameId NameTable::findChild(NameId parent, std::string_view component) const {
 }
 
 NameId NameTable::find(const Name& name) const {
+  const auto [id, depth] = longestInternedPrefix(name);
+  return depth == name.size() ? id : kInvalidNameId;
+}
+
+std::pair<NameId, std::uint32_t> NameTable::longestInternedPrefix(const Name& name) const {
+  SharedLock lk(mu_);
   NameId id = kRootNameId;
+  std::uint32_t depth = 0;
   for (const std::string& c : name.components()) {
-    id = findChild(id, c);
-    if (id == kInvalidNameId) return kInvalidNameId;
+    const auto it = children_.find(ChildProbe{id, c});
+    if (it == children_.end()) break;
+    id = it->second;
+    ++depth;
   }
-  return id;
+  return {id, depth};
 }
 
 NameId NameTable::prefix(NameId id, std::uint32_t n) const {

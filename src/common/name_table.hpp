@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -68,6 +69,9 @@ class NameTable {
   // Lookup without interning; kInvalidNameId when absent.
   NameId find(const Name& name) const;
   NameId findChild(NameId parent, std::string_view component) const;
+  // The deepest interned prefix of `name` (the root when nothing below it is
+  // interned) and its depth, in one walk under one shared lock.
+  std::pair<NameId, std::uint32_t> longestInternedPrefix(const Name& name) const;
 
   NameId parent(NameId id) const { return entry(id).parent; }
   std::uint32_t depth(NameId id) const { return entry(id).depth; }

@@ -221,7 +221,7 @@ GCOPSS_HOT void CopssRouter::stForward(NodeId excludeFace, const PacketPtr& mult
   // Batch point of the publish fan-out (DESIGN.md §4e): the packet carries
   // its folded prefix-hash key, so publications sharing a CD set within a
   // tick replay this hop's whole match from the ST's cache; misses run the
-  // word-parallel bit-plane sweep (scalar probes when batchedMatch is off).
+  // word-parallel bit-plane sweep.
   st_.matchFacesHashedInto(mcast.cds, mcast.prefixHashes, mcast.matchKey, excludeFace, faces);
   // Per-face suppression against this seq's record: the arrival face counts
   // as served, and only a retransmission re-floods faces already served.

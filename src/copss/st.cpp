@@ -1,21 +1,28 @@
 #include "copss/st.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/thread_annotations.hpp"
 
 namespace gcopss::copss {
 
-SubscriptionTable::SubscriptionTable(Options opts)
-    : opts_(opts), probes_(opts.bloomBits, opts.bloomHashes) {
-  if (batchedActive() && opts_.matchCacheSlots > 0) {
-    std::size_t n = 1;
-    while (n < opts_.matchCacheSlots) n <<= 1;
-    cache_.resize(n);
+void SubscriptionTable::validate(const Options& opts) {
+  if (opts.bloomBits == 0) {
+    throw std::invalid_argument("SubscriptionTable: bloomBits must be > 0");
+  }
+  if (opts.bloomHashes == 0) {
+    throw std::invalid_argument("SubscriptionTable: bloomHashes must be > 0");
   }
 }
 
-// --- batched index maintenance -------------------------------------------
+SubscriptionTable::SubscriptionTable(Options opts)
+    : opts_(opts), probes_(opts.bloomBits, opts.bloomHashes) {
+  validate(opts_);
+  if (opts_.useBloom) cache_.resize(kMatchCacheSlots);
+}
+
+// --- bit-plane index maintenance -------------------------------------------
 // All of this runs on the control plane (subscribe/unsubscribe/prune), never
 // per packet; the cold markers double as gcopss-tidy hot-alloc barriers.
 
@@ -106,12 +113,12 @@ bool SubscriptionTable::subscribe(NodeId face, const Name& cd) {
   auto it = table_.find(face);
   if (it == table_.end()) {
     it = table_.emplace(face, FaceEntry(opts_.bloomBits, opts_.bloomHashes)).first;
-    if (batchedActive()) attachSlot(face, it->second);
+    if (opts_.useBloom) attachSlot(face, it->second);
   }
   FaceEntry& e = it->second;
   if (++e.exact[cd] == 1) {
     e.bloom.add(cd);
-    if (batchedActive()) syncPlanes(e, cd.hash());
+    if (opts_.useBloom) syncPlanes(e, cd.hash());
   }
   e.exactHashes.increment(cd.hash());
   // A fresh subscription clears prunes of this CD and of anything below it.
@@ -122,7 +129,7 @@ bool SubscriptionTable::subscribe(NodeId face, const Name& cd) {
       ++pit;
     }
   }
-  if (batchedActive()) {
+  if (opts_.useBloom) {
     updatePrunedBit(e);
     bumpVersion();
   }
@@ -138,14 +145,14 @@ bool SubscriptionTable::unsubscribe(NodeId face, const Name& cd) {
   if (--cit->second == 0) {
     e.exact.erase(cit);
     e.bloom.remove(cd);
-    if (batchedActive()) syncPlanes(e, cd.hash());
+    if (opts_.useBloom) syncPlanes(e, cd.hash());
   }
   e.exactHashes.decrement(cd.hash());
   if (e.exact.empty()) {
-    if (batchedActive()) releaseSlot(e);
+    if (opts_.useBloom) releaseSlot(e);
     table_.erase(it);
   }
-  if (batchedActive()) bumpVersion();
+  if (opts_.useBloom) bumpVersion();
 
   const auto git = globalRefcount_.find(cd);
   if (git != globalRefcount_.end() && --git->second == 0) {
@@ -157,94 +164,52 @@ bool SubscriptionTable::unsubscribe(NodeId face, const Name& cd) {
 
 // --- matching -------------------------------------------------------------
 
-bool SubscriptionTable::faceMatches(const FaceEntry& e,
-                                    const std::vector<Name>& cds) const {
+bool SubscriptionTable::faceMatches(const FaceEntry& e, const std::vector<Name>& cds,
+                                    bool countFalsePositives) const {
   for (const Name& cd : cds) {
     if (e.pruned.count(cd)) continue;
     // Check the filter for every prefix level of the CD (the paper's
     // "/sports and /sports/football" walk).
-    bool bloomHit = false;
-    for (std::size_t len = 0; len <= cd.size() && !bloomHit; ++len) {
+    for (std::size_t len = 0; len <= cd.size(); ++len) {
       const Name p = cd.prefix(len);
-      if (opts_.useBloom) {
-        if (e.bloom.possiblyContains(p)) {
-          bloomHit = true;
-          if (!e.exact.count(p)) ++bloomFalsePositives_;
-        }
-      } else if (e.exact.count(p)) {
-        bloomHit = true;
-      }
-    }
-    if (bloomHit) return true;
-  }
-  return false;
-}
-
-bool SubscriptionTable::faceMatchesHashed(
-    const FaceEntry& e, const std::vector<Name>& cds,
-    const std::vector<std::uint64_t>& prefixHashes) const {
-  if (!e.pruned.empty()) return faceMatches(e, cds);  // slow path during migration
-  for (std::uint64_t h : prefixHashes) {
-    if (opts_.useBloom) {
-      if (e.bloom.possiblyContains(h)) {
-        if (!e.exactHashes.contains(h)) ++bloomFalsePositives_;
+      if (!opts_.useBloom) {
+        if (e.exact.count(p)) return true;
+      } else if (e.bloom.possiblyContains(p)) {
+        if (countFalsePositives && !e.exact.count(p)) ++bloomFalsePositives_;
         return true;
       }
-    } else if (e.exactHashes.contains(h)) {
-      return true;
     }
   }
   return false;
 }
 
-std::vector<NodeId> SubscriptionTable::matchFaces(const std::vector<Name>& cds,
-                                                  NodeId excludeFace) const {
-  std::vector<NodeId> out;
-  for (const auto& [face, entry] : table_) {
+void SubscriptionTable::exactMatchInto(const std::vector<Name>& cds,
+                                       const std::vector<std::uint64_t>& prefixHashes,
+                                       NodeId excludeFace, std::vector<NodeId>& out) const {
+  for (const auto& [face, e] : table_) {
     if (face == excludeFace) continue;
-    if (faceMatches(entry, cds)) out.push_back(face);
+    if (!e.pruned.empty()) {
+      if (faceMatches(e, cds, /*countFalsePositives=*/true)) out.push_back(face);
+      continue;
+    }
+    for (std::uint64_t h : prefixHashes) {
+      if (e.exactHashes.contains(h)) {
+        out.push_back(face);
+        break;
+      }
+    }
   }
-  return out;
-}
-
-std::vector<NodeId> SubscriptionTable::matchFacesHashed(
-    const std::vector<Name>& cds, const std::vector<std::uint64_t>& prefixHashes,
-    NodeId excludeFace) const {
-  std::vector<NodeId> out;
-  matchFacesHashedInto(cds, prefixHashes, excludeFace, out);
-  return out;
-}
-
-GCOPSS_HOT void SubscriptionTable::matchFacesScalarInto(const std::vector<Name>& cds,
-                                             const std::vector<std::uint64_t>& prefixHashes,
-                                             NodeId excludeFace, std::vector<NodeId>& out) const {
-  out.clear();
-  for (const auto& [face, entry] : table_) {
-    if (face == excludeFace) continue;
-    if (faceMatchesHashed(entry, cds, prefixHashes)) out.push_back(face);
-  }
-}
-
-GCOPSS_HOT void SubscriptionTable::matchFacesHashedInto(const std::vector<Name>& cds,
-                                             const std::vector<std::uint64_t>& prefixHashes,
-                                             NodeId excludeFace, std::vector<NodeId>& out) const {
-  if (!batchedActive()) {
-    matchFacesScalarInto(cds, prefixHashes, excludeFace, out);
-    return;
-  }
-  matchFacesHashedInto(cds, prefixHashes, foldHashes(prefixHashes.data(), prefixHashes.size()),
-                       excludeFace, out);
 }
 
 GCOPSS_HOT void SubscriptionTable::matchFacesHashedInto(const std::vector<Name>& cds,
                                              const std::vector<std::uint64_t>& prefixHashes,
                                              std::uint64_t matchKey, NodeId excludeFace,
                                              std::vector<NodeId>& out) const {
-  if (!batchedActive()) {
-    matchFacesScalarInto(cds, prefixHashes, excludeFace, out);
+  out.clear();
+  if (!opts_.useBloom) {
+    exactMatchInto(cds, prefixHashes, excludeFace, out);
     return;
   }
-  out.clear();
   if (table_.empty()) return;
   // Per-tick cache: publications fanning out through one hop within a tick
   // overwhelmingly carry the same CD set (same region/zone), so the whole
@@ -252,7 +217,7 @@ GCOPSS_HOT void SubscriptionTable::matchFacesHashedInto(const std::vector<Name>&
   // line. Bypassed while any face has prunes: those faces match on exact
   // Names, and the line is keyed by hashes alone.
   CacheLine* line = nullptr;
-  if (!cache_.empty() && prunedFaces_ == 0) {
+  if (prunedFaces_ == 0) {
     const std::uint64_t tag =
         mix64(matchKey ^ (0xda942042e4dd58b5ULL + static_cast<std::uint64_t>(excludeFace)));
     line = &cache_[tag & (cache_.size() - 1)];
@@ -311,8 +276,8 @@ GCOPSS_HOT void SubscriptionTable::sweepMatchInto(const std::vector<Name>& cds,
     });
     if (!candidates) continue;
     for (std::size_t w = 0; w < W; ++w) {
-      // A face is accounted at its first matching hash, like the scalar
-      // probe loop's early return; pruned faces take the exact-Name path
+      // A face is accounted at its first matching hash, as a per-face probe
+      // loop would return early; pruned faces take the exact-Name path
       // below and the arrival face is never evaluated at all.
       std::uint64_t newly = sweepHit_[w] & ~sweepMatched_[w] & ~prunedMask_[w];
       if (exSlot != kNoSlot && exSlot / 64 == w) newly &= ~(1ull << (exSlot % 64));
@@ -325,11 +290,11 @@ GCOPSS_HOT void SubscriptionTable::sweepMatchInto(const std::vector<Name>& cds,
       }
     }
   }
-  // Emit in table_ (ascending face) order — the scalar path's output order.
+  // Emit in table_ (ascending face) order.
   for (const auto& [face, e] : table_) {
     if (face == excludeFace) continue;
     if (!e.pruned.empty()) {
-      if (faceMatches(e, cds)) out.push_back(face);
+      if (faceMatches(e, cds, /*countFalsePositives=*/true)) out.push_back(face);
       continue;
     }
     if (sweepMatched_[e.slot / 64] & (1ull << (e.slot % 64))) out.push_back(face);
@@ -339,7 +304,7 @@ GCOPSS_HOT void SubscriptionTable::sweepMatchInto(const std::vector<Name>& cds,
 bool SubscriptionTable::anyMatch(const std::vector<Name>& cds, NodeId excludeFace) const {
   for (const auto& [face, entry] : table_) {
     if (face == excludeFace) continue;
-    if (faceMatches(entry, cds)) return true;
+    if (faceMatches(entry, cds, /*countFalsePositives=*/false)) return true;
   }
   return false;
 }
@@ -356,7 +321,7 @@ void SubscriptionTable::prune(NodeId face, const Name& cd) {
   const auto it = table_.find(face);
   if (it == table_.end()) return;
   it->second.pruned.insert(cd);
-  if (batchedActive()) {
+  if (opts_.useBloom) {
     updatePrunedBit(it->second);
     bumpVersion();
   }
@@ -368,7 +333,12 @@ bool SubscriptionTable::isPruned(NodeId face, const Name& cd) const {
 }
 
 std::vector<NodeId> SubscriptionTable::facesMatching(const Name& cd) const {
-  return matchFaces({cd});
+  const std::vector<Name> cds{cd};
+  std::vector<NodeId> out;
+  for (const auto& [face, entry] : table_) {
+    if (faceMatches(entry, cds, /*countFalsePositives=*/false)) out.push_back(face);
+  }
+  return out;
 }
 
 std::vector<NodeId> SubscriptionTable::faces() const {
@@ -421,7 +391,7 @@ void SubscriptionTable::corruptBloomForAudit(NodeId face, const Name& cd) {
   const auto it = table_.find(face);
   if (it == table_.end()) return;
   it->second.bloom.remove(cd);
-  if (batchedActive()) {
+  if (opts_.useBloom) {
     syncPlanes(it->second, cd.hash());
     bumpVersion();
   }

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bloom.hpp"
@@ -19,29 +18,25 @@ namespace gcopss::copss {
 // refcounting, upstream aggregation decisions, and an exact-match mode used
 // by the ablation bench to quantify Bloom false-positive leakage.
 //
-// Two data-plane match implementations coexist (DESIGN.md §4e):
-//  - scalar: per-face hashed Bloom probes, the oracle;
-//  - batched (`Options::batchedMatch`): a transposed bit-plane index — for
-//    every Bloom counter index, a word holding one bit per face, set iff
-//    that face's counter is non-zero — swept word-parallel per prefix hash,
-//    fronted by a version-invalidated per-tick match cache keyed by the
-//    publication's folded prefix hashes. Match sets, output order and the
-//    bloomFalsePositives counter are byte-identical to scalar by contract
-//    (tests/test_batched_match.cpp).
+// The data plane has one matcher (DESIGN.md §4e): a transposed bit-plane
+// index — for every Bloom counter index, a word holding one bit per face, set
+// iff that face's counter is non-zero — swept word-parallel per prefix hash,
+// fronted by a version-invalidated per-tick match cache keyed by the
+// publication's folded prefix hashes. Its match sets, output order and
+// bloomFalsePositives counter equal independent per-face Bloom probes; the
+// reference model that checks this lives in tests/st_reference.hpp.
 class SubscriptionTable {
  public:
   struct Options {
     bool useBloom = true;     // false = exact matching (ablation)
     std::size_t bloomBits = 1 << 14;
     unsigned bloomHashes = 7;
-    // Batched data plane: bit-plane sweep + per-tick match cache. false
-    // selects the scalar per-face probes (the equivalence oracle). Only
-    // meaningful with useBloom (the exact-match ablation stays scalar).
-    bool batchedMatch = true;
-    // Direct-mapped match-cache lines (rounded up to a power of two;
-    // 0 disables the cache but keeps the sweep).
-    std::size_t matchCacheSlots = 256;
   };
+
+  // Throws std::invalid_argument for a Bloom geometry with no counters or no
+  // hash functions (the first would divide by zero on the first subscribe,
+  // the second would let every filter pass vacuously).
+  static void validate(const Options& opts);
 
   SubscriptionTable() : SubscriptionTable(Options{}) {}
   explicit SubscriptionTable(Options opts);
@@ -53,39 +48,18 @@ class SubscriptionTable {
   // Returns true if no face remains subscribed to `cd` afterwards.
   bool unsubscribe(NodeId face, const Name& cd);
 
-  // Faces that must receive a multicast carrying `cds` — every face whose
-  // filter matches any prefix of any carried CD, minus faces pruned for all
-  // of the carried CDs, excluding `excludeFace` (the arrival face).
-  std::vector<NodeId> matchFaces(const std::vector<Name>& cds,
-                                 NodeId excludeFace = kInvalidNode) const;
-
-  // Fast path used on the data plane: `prefixHashes` are the pre-computed
-  // hashes of every prefix level of every CD (the paper's hash-at-first-hop
-  // optimisation); `cds` is only consulted on faces with active prunes.
-  std::vector<NodeId> matchFacesHashed(const std::vector<Name>& cds,
-                                       const std::vector<std::uint64_t>& prefixHashes,
-                                       NodeId excludeFace = kInvalidNode) const;
-
-  // Allocation-free variant for the per-hop fast path: clears `out` and
-  // fills it with the matching faces, reusing its capacity. Dispatches on
-  // Options::batchedMatch.
-  void matchFacesHashedInto(const std::vector<Name>& cds,
-                            const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
-                            std::vector<NodeId>& out) const;
-
-  // Batch point used by the router's publish fan-out: `matchKey` is the
-  // packet's precomputed foldPrefixHashes() value, so a cache hit costs one
-  // mix and one probe instead of re-hashing the CD set at every hop.
+  // The data-plane match: clears `out` and fills it, in ascending face order,
+  // with every face whose filter matches any prefix of any carried CD, minus
+  // faces pruned for all of the carried CDs, excluding `excludeFace` (the
+  // arrival face). `prefixHashes` are the pre-computed hashes of every prefix
+  // level of every CD (the paper's hash-at-first-hop optimisation); `cds` is
+  // only consulted on faces with active prunes. `matchKey` is the packet's
+  // precomputed foldPrefixHashes() value, so a cache hit costs one mix and
+  // one probe instead of re-hashing the CD set at every hop. Only this entry
+  // point counts Bloom false positives.
   void matchFacesHashedInto(const std::vector<Name>& cds,
                             const std::vector<std::uint64_t>& prefixHashes,
                             std::uint64_t matchKey, NodeId excludeFace,
-                            std::vector<NodeId>& out) const;
-
-  // The scalar oracle, always per-face probes regardless of the knob.
-  // Public so the equivalence suite can pit it against the batched path on
-  // the same table instance.
-  void matchFacesScalarInto(const std::vector<Name>& cds,
-                            const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
                             std::vector<NodeId>& out) const;
 
   // True if any face (excluding `excludeFace`) would match `cds`.
@@ -117,10 +91,9 @@ class SubscriptionTable {
 
   std::uint64_t bloomFalsePositives() const { return bloomFalsePositives_; }
 
-  // Batched-path introspection (bench/tests): per-tick cache effectiveness.
+  // Per-tick match cache effectiveness (perfbench's st.cache_hit_ratio).
   std::uint64_t matchCacheHits() const { return cacheHits_; }
   std::uint64_t matchCacheMisses() const { return cacheMisses_; }
-  bool batchedActive() const { return opts_.useBloom && opts_.batchedMatch; }
 
   const Options& options() const { return opts_; }
 
@@ -143,7 +116,7 @@ class SubscriptionTable {
   // follows the corruption, as it would any counter transition.
   void corruptBloomForAudit(NodeId face, const Name& cd);
 
-  // The batched index holds raw pointers into `table_` map nodes (stable
+  // The bit-plane index holds raw pointers into `table_` map nodes (stable
   // under std::map moves, not under copies).
   SubscriptionTable(const SubscriptionTable&) = delete;
   SubscriptionTable& operator=(const SubscriptionTable&) = delete;
@@ -152,6 +125,7 @@ class SubscriptionTable {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::size_t kMatchCacheSlots = 256;  // direct-mapped lines
 
   struct FaceEntry {
     CountingBloomFilter bloom;
@@ -163,11 +137,18 @@ class SubscriptionTable {
     FaceEntry(std::size_t bits, unsigned k) : bloom(bits, k) {}
   };
 
-  bool faceMatches(const FaceEntry& e, const std::vector<Name>& cds) const;
-  bool faceMatchesHashed(const FaceEntry& e, const std::vector<Name>& cds,
-                         const std::vector<std::uint64_t>& prefixHashes) const;
+  // Exact-Name probe of every prefix of every unpruned CD. Only the data
+  // plane passes `countFalsePositives`: control-plane queries must not move
+  // the data-plane counter.
+  bool faceMatches(const FaceEntry& e, const std::vector<Name>& cds,
+                   bool countFalsePositives) const;
 
-  // --- batched index maintenance (all control-plane / cold) ---
+  // The exact-match ablation (useBloom=false): per-face exact hash probes.
+  void exactMatchInto(const std::vector<Name>& cds,
+                      const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
+                      std::vector<NodeId>& out) const;
+
+  // --- bit-plane index maintenance (all control-plane / cold) ---
   void attachSlot(NodeId face, FaceEntry& e);
   void releaseSlot(FaceEntry& e);
   void rebuildPlanes();
@@ -178,7 +159,7 @@ class SubscriptionTable {
   void updatePrunedBit(const FaceEntry& e);
   void bumpVersion() { ++version_; }
 
-  // The word-parallel sweep (batched path, cache miss).
+  // The word-parallel sweep (cache miss).
   void sweepMatchInto(const std::vector<Name>& cds,
                       const std::vector<std::uint64_t>& prefixHashes, NodeId excludeFace,
                       std::vector<NodeId>& out) const;
@@ -188,7 +169,7 @@ class SubscriptionTable {
   std::map<Name, std::uint32_t> globalRefcount_;  // cd -> #faces subscribed
   mutable std::uint64_t bloomFalsePositives_ = 0;
 
-  // --- transposed bit-plane index (batchedMatch) ---
+  // --- transposed bit-plane index (maintained whenever useBloom is set) ---
   BloomProbeSchedule probes_;          // same geometry as every face filter
   std::size_t planeWords_ = 0;         // 64-face words per counter row
   std::vector<std::uint64_t> planes_;  // bloomBits rows x planeWords_ words

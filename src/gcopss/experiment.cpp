@@ -155,6 +155,7 @@ constexpr std::uint64_t kSnapshotSeqBase = 1ULL << 40;
 
 RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
                           const GCopssRunConfig& cfg) {
+  copss::SubscriptionTable::validate(cfg.stOptions);  // before any world is built
   Rng rng(cfg.seed);
   Simulator sim;
   Topology topo;

@@ -135,6 +135,8 @@ struct GCopssRunConfig {
   std::function<void(const WorldView&)> onRunDrained;
 };
 
+// Throws std::invalid_argument, before building anything, for an invalid
+// stOptions Bloom geometry (SubscriptionTable::validate).
 RunSummary runGCopssTrace(const game::GameMap& map, const trace::Trace& trace,
                           const GCopssRunConfig& cfg);
 

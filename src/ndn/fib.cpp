@@ -6,107 +6,64 @@
 
 namespace gcopss::ndn {
 
+Fib::Level::const_iterator Fib::lowerBound(const Level& level, NameId id) {
+  return std::lower_bound(level.begin(), level.end(), id,
+                          [](const Entry& e, NameId key) { return e.id < key; });
+}
+
+const Fib::Entry* Fib::at(std::uint32_t depth, NameId id) const {
+  if (id == kInvalidNameId || depth >= byDepth_.size()) return nullptr;
+  const Level& level = byDepth_[depth];
+  const auto it = lowerBound(level, id);
+  return it != level.end() && it->id == id ? &*it : nullptr;
+}
+
+Fib::Entry* Fib::at(std::uint32_t depth, NameId id) {
+  return const_cast<Entry*>(static_cast<const Fib*>(this)->at(depth, id));
+}
+
+void Fib::erase(std::uint32_t depth, NameId id) {
+  Level& level = byDepth_[depth];
+  level.erase(level.begin() + (lowerBound(level, id) - level.cbegin()));
+}
+
 // Control-plane mutation (RP assignment, Subscribe propagation targets):
-// never on the per-packet forwarding path, so trie-node growth is fine here.
+// never on the per-packet forwarding path, so level growth is fine here.
 // The cold marker is also the gcopss-tidy hot-alloc barrier.
 GCOPSS_COLD void Fib::insert(const Name& prefix, NodeId face) {
-  auto& names = NameTable::instance();
-  TrieNode* node = &root_;
-  NameId id = kRootNameId;
-  for (const auto& comp : prefix.components()) {
-    auto& child = node->children[comp];
-    if (!child) child = std::make_unique<TrieNode>();
-    node = child.get();
-    id = names.child(id, comp);
-  }
-  if (node->faces.insert(face).second) {
-    ++entries_;
-    if (node->faces.size() == 1) {
-      flatInsert(static_cast<std::uint32_t>(prefix.size()), id, node);
-    }
-  }
-}
-
-// The per-depth index holds exactly the prefixes with faces; both
-// maintenance ends are cold control plane (sorted insert / linear erase).
-GCOPSS_COLD void Fib::flatInsert(std::uint32_t depth, NameId id, const TrieNode* node) {
+  const NameId id = NameTable::instance().intern(prefix);
+  const auto depth = static_cast<std::uint32_t>(prefix.size());
   if (byDepth_.size() <= depth) byDepth_.resize(depth + 1);
-  auto& level = byDepth_[depth];
-  const auto it = std::lower_bound(
-      level.begin(), level.end(), id,
-      [](const FlatEntry& e, NameId key) { return e.id < key; });
-  if (it != level.end() && it->id == id) return;  // already indexed
-  level.insert(it, FlatEntry{id, node});
-}
-
-GCOPSS_COLD void Fib::flatErase(std::uint32_t depth, NameId id) {
-  if (byDepth_.size() <= depth) return;
-  auto& level = byDepth_[depth];
-  const auto it = std::lower_bound(
-      level.begin(), level.end(), id,
-      [](const FlatEntry& e, NameId key) { return e.id < key; });
-  if (it != level.end() && it->id == id) level.erase(it);
-}
-
-const Fib::TrieNode* Fib::find(const Name& prefix) const {
-  const TrieNode* node = &root_;
-  for (const auto& comp : prefix.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) return nullptr;
-    node = it->second.get();
-  }
-  return node;
+  Level& level = byDepth_[depth];
+  auto it = level.begin() + (lowerBound(level, id) - level.cbegin());
+  if (it == level.end() || it->id != id) it = level.insert(it, Entry{id, {}});
+  if (it->faces.insert(face).second) ++entries_;
 }
 
 bool Fib::remove(const Name& prefix, NodeId face) {
-  // const_cast-free: walk mutably.
-  TrieNode* node = &root_;
-  for (const auto& comp : prefix.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) return false;
-    node = it->second.get();
-  }
-  if (node->faces.erase(face) > 0) {
-    --entries_;
-    if (node->faces.empty()) {
-      flatErase(static_cast<std::uint32_t>(prefix.size()),
-                NameTable::instance().find(prefix));
-    }
-    return true;
-  }
-  return false;
+  const auto depth = static_cast<std::uint32_t>(prefix.size());
+  const NameId id = NameTable::instance().find(prefix);
+  Entry* e = at(depth, id);
+  if (!e || e->faces.erase(face) == 0) return false;
+  --entries_;
+  if (e->faces.empty()) erase(depth, id);
+  return true;
 }
 
 void Fib::removePrefix(const Name& prefix) {
-  TrieNode* node = &root_;
-  for (const auto& comp : prefix.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) return;
-    node = it->second.get();
-  }
-  if (!node->faces.empty()) {
-    entries_ -= node->faces.size();
-    node->faces.clear();
-    flatErase(static_cast<std::uint32_t>(prefix.size()),
-              NameTable::instance().find(prefix));
-  }
+  const auto depth = static_cast<std::uint32_t>(prefix.size());
+  const NameId id = NameTable::instance().find(prefix);
+  const Entry* e = at(depth, id);
+  if (!e) return;
+  entries_ -= e->faces.size();
+  erase(depth, id);
 }
 
+// Every registered prefix is interned, so none of `name`'s registered
+// prefixes lies below its deepest interned one.
 std::vector<NodeId> Fib::lpm(const Name& name) const {
-  const TrieNode* node = &root_;
-  const TrieNode* best = node->faces.empty() ? nullptr : node;
-  for (const auto& comp : name.components()) {
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) break;
-    node = it->second.get();
-    if (!node->faces.empty()) best = node;
-  }
-  if (!best) return {};
-  return {best->faces.begin(), best->faces.end()};
-}
-
-std::vector<NodeId> Fib::lpm(NameId id) const {
-  const std::set<NodeId>* faces = lpmFaces(id);
+  const std::set<NodeId>* faces =
+      lpmFaces(NameTable::instance().longestInternedPrefix(name).first);
   if (!faces) return {};
   return {faces->begin(), faces->end()};
 }
@@ -123,12 +80,10 @@ GCOPSS_HOT const std::set<NodeId>* Fib::lpmFaces(NameId id) const {
     --depth;
   }
   for (;;) {
-    const auto& level = byDepth_[depth];
+    const Level& level = byDepth_[depth];
     if (!level.empty()) {
-      const auto it = std::lower_bound(
-          level.begin(), level.end(), cur,
-          [](const FlatEntry& e, NameId key) { return e.id < key; });
-      if (it != level.end() && it->id == cur) return &it->node->faces;
+      const auto it = lowerBound(level, cur);
+      if (it != level.end() && it->id == cur) return &it->faces;
     }
     if (depth == 0) return nullptr;
     cur = names.parent(cur);
@@ -136,88 +91,42 @@ GCOPSS_HOT const std::set<NodeId>* Fib::lpmFaces(NameId id) const {
   }
 }
 
-std::vector<NodeId> Fib::exact(const Name& prefix) const {
-  const TrieNode* node = find(prefix);
-  if (!node) return {};
-  return {node->faces.begin(), node->faces.end()};
-}
-
-std::vector<std::pair<const std::string*, const Fib::TrieNode*>>
-Fib::sortedChildren(const TrieNode& node) {
-  std::vector<std::pair<const std::string*, const TrieNode*>> out;
-  out.reserve(node.children.size());
-  // gcopss-tidy: allow(unordered-iter) the one audited escape; order is normalized by the sort below
-  for (const auto& [comp, child] : node.children) {
-    out.emplace_back(&comp, child.get());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  return out;
-}
-
 std::vector<std::pair<Name, std::vector<NodeId>>> Fib::intersecting(const Name& name) const {
   std::vector<std::pair<Name, std::vector<NodeId>>> out;
-  // Ancestors (and self): walk down the trie along `name`.
-  const TrieNode* node = &root_;
-  for (std::size_t len = 0;; ++len) {
-    if (!node->faces.empty()) {
-      out.emplace_back(name.prefix(len),
-                       std::vector<NodeId>(node->faces.begin(), node->faces.end()));
+  const auto& names = NameTable::instance();
+  const auto [deepest, interned] = names.longestInternedPrefix(name);
+  // Ancestors (and self), shallowest first.
+  for (std::uint32_t d = 0; d <= interned; ++d) {
+    if (const Entry* e = at(d, names.prefix(deepest, d))) {
+      out.emplace_back(name.prefix(d), std::vector<NodeId>(e->faces.begin(), e->faces.end()));
     }
-    if (len == name.size()) break;
-    const auto it = node->children.find(name.at(len));
-    if (it == node->children.end()) return out;
-    node = it->second.get();
   }
-  // Descendants: everything strictly below `name`, in sorted preorder.
-  // Children are pushed reverse-sorted so the stack pops them ascending —
-  // the output order is a pure function of the trie's contents, never of
-  // unordered-map layout (it reaches Subscribe propagation order upstream).
-  struct Frame {
-    const TrieNode* n;
-    Name path;
-  };
-  std::vector<Frame> stack;
-  auto pushKids = [&stack](const TrieNode& n, const Name& path) {
-    const auto kids = sortedChildren(n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(Frame{it->second, path.append(*it->first)});
+  // A registered descendant would have interned `name` itself.
+  if (interned < name.size()) return out;
+  // Descendants: everything strictly below `name`, in Name order — the
+  // output order is a pure function of the FIB's contents, never of NameId
+  // assignment order (it reaches Subscribe propagation order upstream).
+  const std::size_t ancestors = out.size();
+  for (std::size_t d = name.size() + 1; d < byDepth_.size(); ++d) {
+    for (const Entry& e : byDepth_[d]) {
+      if (names.isPrefixOf(deepest, e.id)) {
+        out.emplace_back(names.name(e.id), std::vector<NodeId>(e.faces.begin(), e.faces.end()));
+      }
     }
-  };
-  pushKids(*node, name);
-  while (!stack.empty()) {
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-    if (!f.n->faces.empty()) {
-      out.emplace_back(f.path,
-                       std::vector<NodeId>(f.n->faces.begin(), f.n->faces.end()));
-    }
-    pushKids(*f.n, f.path);
   }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(ancestors), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
 std::vector<std::pair<Name, std::vector<NodeId>>> Fib::entries() const {
   std::vector<std::pair<Name, std::vector<NodeId>>> out;
-  struct Frame {
-    const TrieNode* n;
-    Name path;
-  };
-  std::vector<Frame> stack{Frame{&root_, Name()}};
-  while (!stack.empty()) {
-    Frame f = std::move(stack.back());
-    stack.pop_back();
-    if (!f.n->faces.empty()) {
-      out.emplace_back(f.path,
-                       std::vector<NodeId>(f.n->faces.begin(), f.n->faces.end()));
-    }
-    const auto kids = sortedChildren(*f.n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(Frame{it->second, f.path.append(*it->first)});
+  const auto& names = NameTable::instance();
+  for (const Level& level : byDepth_) {
+    for (const Entry& e : level) {
+      out.emplace_back(names.name(e.id), std::vector<NodeId>(e.faces.begin(), e.faces.end()));
     }
   }
-  // Belt and braces: sorted preorder already emits prefixes in Name order,
-  // but the audit contract is "sorted by prefix", so say it in code.
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <set>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/name.hpp"
@@ -12,8 +11,16 @@
 
 namespace gcopss::ndn {
 
-// Forwarding Information Base: a component trie mapping name prefixes to
-// outgoing face sets, with longest-prefix-match lookup.
+// Forwarding Information Base: interned name prefixes mapped to outgoing face
+// sets, with longest-prefix-match lookup.
+//
+// The store is keyed by NameId (DESIGN.md §4e): one contiguous array per
+// depth of (interned prefix id, face set), sorted by id, holding exactly the
+// prefixes with at least one registered face. The NameTable already caches
+// every name's parent and depth, so a lookup walks the parent chain and
+// binary-searches the level array at each depth — contiguous words instead
+// of a hash-map probe per level, and depths with no registered prefix are
+// skipped without touching memory.
 class Fib {
  public:
   void insert(const Name& prefix, NodeId face);
@@ -26,65 +33,41 @@ class Fib {
   // Empty vector if no prefix matches.
   std::vector<NodeId> lpm(const Name& name) const;
 
-  // Data-plane LPM over an interned name: instead of hashing string
-  // components down the trie, walk `id`'s parent chain (deepest first) and
-  // return the first prefix registered here with faces — the same longest
-  // match the string walk produces, in O(depth) integer map probes.
-  std::vector<NodeId> lpm(NameId id) const;
-
-  // Allocation-free variant: the winning entry's face set (iteration order
-  // matches the vector the other overloads return), nullptr if no match.
+  // Data-plane LPM over an interned name: walk `id`'s parent chain (deepest
+  // first) and return the face set of the first prefix registered here, in
+  // ascending face order; nullptr if no prefix matches. The pointer is valid
+  // until the next mutation.
   const std::set<NodeId>* lpmFaces(NameId id) const;
 
-  // Exact-match faces for a prefix (no LPM); empty if absent.
-  std::vector<NodeId> exact(const Name& prefix) const;
-
   // All (prefix, faces) entries whose prefix intersects `name`: the prefix is
-  // an ancestor-or-equal of `name`, or lies in the subtree under `name`.
+  // an ancestor-or-equal of `name` (emitted shallowest first), or lies in the
+  // subtree under `name` (emitted after them, in Name order).
   // COPSS uses this to find every RP direction a Subscribe must propagate to
   // (a subscription to /1 must reach the RPs serving /1/1, /1/2, ...).
   std::vector<std::pair<Name, std::vector<NodeId>>> intersecting(const Name& name) const;
 
-  // Every (prefix, faces) entry in the trie, sorted by prefix. Audit /
-  // introspection path (the invariant checker enumerates all routed prefixes
-  // to build its loop-freedom probe set); not used while forwarding.
+  // Every (prefix, faces) entry, sorted by prefix. Audit / introspection path
+  // (the invariant checker enumerates all routed prefixes to build its
+  // loop-freedom probe set); not used while forwarding.
   std::vector<std::pair<Name, std::vector<NodeId>>> entries() const;
 
   std::size_t entryCount() const { return entries_; }
 
  private:
-  struct TrieNode {
-    std::unordered_map<std::string, std::unique_ptr<TrieNode>> children;
-    std::set<NodeId> faces;
-  };
-  TrieNode root_;
-  std::size_t entries_ = 0;  // number of (prefix,face) pairs
-  // Flattened LPM index (DESIGN.md §4e): one contiguous array per depth of
-  // (interned prefix id, trie node), sorted by id, holding exactly the
-  // prefixes with at least one registered face. A lookup walks `id`'s
-  // parent chain (the NameTable caches parent/depth) and binary-searches
-  // the level array at each depth — contiguous words instead of a hash-map
-  // probe per level, and depths with no registered prefix are skipped
-  // without touching memory. Nodes are never deallocated (remove only
-  // clears face sets), so raw pointers stay valid for the trie's lifetime.
-  struct FlatEntry {
+  struct Entry {
     NameId id;
-    const TrieNode* node;
+    std::set<NodeId> faces;  // never empty
   };
-  std::vector<std::vector<FlatEntry>> byDepth_;
+  using Level = std::vector<Entry>;
 
-  void flatInsert(std::uint32_t depth, NameId id, const TrieNode* node);
-  void flatErase(std::uint32_t depth, NameId id);
+  static Level::const_iterator lowerBound(const Level& level, NameId id);
+  // The entry for `id` at `depth`, or nullptr if none is registered.
+  const Entry* at(std::uint32_t depth, NameId id) const;
+  Entry* at(std::uint32_t depth, NameId id);
+  void erase(std::uint32_t depth, NameId id);
 
-  const TrieNode* find(const Name& prefix) const;
-
-  // Deterministic traversal order over a node's unordered child map: the
-  // one audited place where `children` is iterated, normalized by sorting
-  // on the component. Everything that enumerates the trie (intersecting(),
-  // entries()) walks this snapshot so its output order never depends on
-  // hash-map layout.
-  static std::vector<std::pair<const std::string*, const TrieNode*>>
-  sortedChildren(const TrieNode& node);
+  std::vector<Level> byDepth_;
+  std::size_t entries_ = 0;  // number of (prefix,face) pairs
 };
 
 }  // namespace gcopss::ndn

@@ -258,11 +258,6 @@ QueueAggregate Network::queueAggregate() const {
 }
 
 void Network::enableParallel(ParallelSimulator& psim) {
-  // Packet refcounts cross shard boundaries the moment a multicast fans out,
-  // so a serial-refcount build must not reach this engine (satellite 4).
-  static_assert(PacketThreading::kAtomicRefCount,
-                "Network::enableParallel requires atomic Packet refcounts; "
-                "rebuild without GCOPSS_SERIAL_REFCOUNT for --threads > 1");
   if (&psim.globalLane() != &sim_) {
     throw std::logic_error(
         "Network::enableParallel: the engine's global lane must be this network's Simulator");

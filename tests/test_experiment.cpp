@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "game/movement.hpp"
 #include "gcopss/experiment.hpp"
 #include "gcopss/movement_experiment.hpp"
@@ -55,6 +57,22 @@ TEST(ExperimentHarness, GCopssDeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.meanMs, b.meanMs);
   EXPECT_DOUBLE_EQ(a.networkGB, b.networkGB);
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
+}
+
+TEST(ExperimentHarness, GCopssRejectsBloomGeometryBeforeBuilding) {
+  // A zero-sized or zero-hash ST filter is a config error in every build
+  // type: the run throws up front instead of dividing by zero (bits = 0) or
+  // letting every filter pass vacuously (hashes = 0) mid-simulation.
+  SmallWorld w;
+  const auto trace = smallTrace(w, 50);
+  GCopssRunConfig cfg;
+  cfg.topo = TopoKind::Bench6;
+  cfg.params = SimParams::microbench();
+  cfg.stOptions.bloomBits = 0;
+  EXPECT_THROW(runGCopssTrace(w.map, trace, cfg), std::invalid_argument);
+  cfg.stOptions.bloomBits = 1 << 10;
+  cfg.stOptions.bloomHashes = 0;
+  EXPECT_THROW(runGCopssTrace(w.map, trace, cfg), std::invalid_argument);
 }
 
 TEST(ExperimentHarness, IpServerSmallRunDelivers) {

@@ -355,8 +355,6 @@ TEST(ParallelDeterminism, DifferentSeedsDiverge) {
 // ---------------------------------------------------------------------------
 
 TEST(ParallelShared, PacketRefCountSurvivesConcurrentRetainRelease) {
-  static_assert(PacketThreading::kAtomicRefCount,
-                "test suite is built with atomic refcounts");
   auto base = makePacket<Packet>(Packet::Kind::Multicast, Bytes{64});
   constexpr int kThreads = 4;
   constexpr int kIters = 20000;

@@ -3,6 +3,7 @@
 #include "common/rng.hpp"
 #include "copss/st.hpp"
 #include "gcopss/experiment.hpp"
+#include "st_reference.hpp"
 #include "world_fixture.hpp"
 
 namespace gcopss::test {
@@ -151,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StackEquivalence, ::testing::Values(3, 17, 29));
 // every leaf underneath it — for any randomly generated leaf set, a face
 // subscribed at "/1" matches every publication whose CD lives under /1 and
 // never one under a sibling root. Holds on both the exact path and the
-// hashed (hash-at-first-hop) data path.
+// hashed (hash-at-first-hop) data path, and the reference model agrees.
 // ---------------------------------------------------------------------------
 
 class StAggregation : public ::testing::TestWithParam<std::uint64_t> {};
@@ -162,8 +163,15 @@ TEST_P(StAggregation, InteriorSubscriptionCoversExactlyItsSubtree) {
   Rng rng(seed);
 
   copss::SubscriptionTable st;
+  StReference ref;
   const NodeId face = 7;
   st.subscribe(face, Name::parse("/1"));
+  ref.subscribe(face, Name::parse("/1"));
+  const auto dataPlane = [&st](const copss::MulticastPacket& pkt) {
+    std::vector<NodeId> faces;
+    st.matchFacesHashedInto(pkt.cds, pkt.prefixHashes, pkt.matchKey, kInvalidNode, faces);
+    return faces;
+  };
 
   for (int i = 0; i < 200; ++i) {
     // A random leaf somewhere under /1, up to 4 levels deep...
@@ -178,25 +186,28 @@ TEST_P(StAggregation, InteriorSubscriptionCoversExactlyItsSubtree) {
       outside = outside.append(under.at(d));
     }
 
-    const auto coveredExact = st.matchFaces({under});
+    const auto coveredExact = st.facesMatching(under);
     ASSERT_EQ(coveredExact.size(), 1u) << under.toString();
     EXPECT_EQ(coveredExact[0], face);
     EXPECT_TRUE(st.hasIntersectingSubscription(under));
 
-    // The hashed data path (what routers actually run) agrees.
+    // The hashed data path (what routers actually run) agrees, and so does
+    // the per-face reference model.
     const copss::MulticastPacket pkt({under}, 15, 0, 1, 99);
-    EXPECT_EQ(st.matchFacesHashed(pkt.cds, pkt.prefixHashes).size(), 1u)
+    EXPECT_EQ(dataPlane(pkt), coveredExact) << under.toString();
+    EXPECT_EQ(ref.match(pkt.cds, pkt.prefixHashes, kInvalidNode), coveredExact)
         << under.toString();
 
-    EXPECT_TRUE(st.matchFaces({outside}).empty()) << outside.toString();
+    EXPECT_TRUE(st.facesMatching(outside).empty()) << outside.toString();
     const copss::MulticastPacket out({outside}, 15, 0, 2, 99);
-    EXPECT_TRUE(st.matchFacesHashed(out.cds, out.prefixHashes).empty())
+    EXPECT_TRUE(dataPlane(out).empty()) << outside.toString();
+    EXPECT_TRUE(ref.match(out.cds, out.prefixHashes, kInvalidNode).empty())
         << outside.toString();
   }
 
   // Unsubscribing the interior CD uncovers the whole subtree again.
   st.unsubscribe(face, Name::parse("/1"));
-  EXPECT_TRUE(st.matchFaces({Name::parse("/1/2/3")}).empty());
+  EXPECT_TRUE(st.facesMatching(Name::parse("/1/2/3")).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StAggregation, ::testing::Values(5, 23, 71));

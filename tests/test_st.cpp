@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "copss/packets.hpp"
 #include "copss/st.hpp"
+#include "st_reference.hpp"
 
 namespace gcopss::test {
 namespace {
@@ -12,7 +15,9 @@ using copss::SubscriptionTable;
 std::vector<NodeId> match(const SubscriptionTable& st, const char* cd,
                           NodeId exclude = kInvalidNode) {
   const MulticastPacket pkt({Name::parse(cd)}, 10, 0, 1, 0);
-  return st.matchFacesHashed(pkt.cds, pkt.prefixHashes, exclude);
+  std::vector<NodeId> faces;
+  st.matchFacesHashedInto(pkt.cds, pkt.prefixHashes, pkt.matchKey, exclude, faces);
+  return faces;
 }
 
 TEST(SubscriptionTable, PrefixWalkMatchesEveryLevel) {
@@ -103,16 +108,58 @@ TEST(SubscriptionTable, TinyBloomLeaksButNeverMisses) {
 }
 
 TEST(SubscriptionTable, HashedAndTextualPathsAgree) {
+  // The hashed data-plane match, the exact-Name control-plane query and the
+  // per-face reference model see the same faces.
   SubscriptionTable st;
-  st.subscribe(1, Name::parse("/1"));
-  st.subscribe(2, Name::parse("/1/2"));
-  st.subscribe(3, Name());
+  StReference ref;
+  for (const auto& [face, cd] : {std::pair<NodeId, const char*>{1, "/1"}, {2, "/1/2"}, {3, "/"}}) {
+    st.subscribe(face, Name::parse(cd));
+    ref.subscribe(face, Name::parse(cd));
+  }
   for (const char* cd : {"/1/2", "/1/3", "/2/1", "/_"}) {
     const MulticastPacket pkt({Name::parse(cd)}, 10, 0, 1, 0);
-    EXPECT_EQ(st.matchFaces(pkt.cds),
-              st.matchFacesHashed(pkt.cds, pkt.prefixHashes))
-        << cd;
+    EXPECT_EQ(st.facesMatching(Name::parse(cd)), match(st, cd)) << cd;
+    EXPECT_EQ(ref.match(pkt.cds, pkt.prefixHashes, kInvalidNode), match(st, cd)) << cd;
   }
+}
+
+TEST(SubscriptionTable, ControlPlaneQueriesDoNotCountFalsePositives) {
+  // A 64-counter, single-hash filter with a few entries: some foreign CD is
+  // bound to pass it. facesMatching (migration teardown) and anyMatch (the
+  // hybrid edge's aliasing check) must not add to the data-plane counter;
+  // only the data-plane match of the same CD counts the false positive.
+  SubscriptionTable::Options opts;
+  opts.bloomBits = 64;
+  opts.bloomHashes = 1;
+  SubscriptionTable st(opts);
+  for (int i = 0; i < 8; ++i) st.subscribe(1, Name::parse("/in/" + std::to_string(i)));
+
+  std::string leak;
+  for (int i = 0; i < 1000 && leak.empty(); ++i) {
+    const std::string cd = "/out" + std::to_string(i);
+    if (!st.facesMatching(Name::parse(cd)).empty()) leak = cd;
+  }
+  ASSERT_FALSE(leak.empty()) << "no foreign CD passes the tiny filter";
+  EXPECT_TRUE(st.anyMatch({Name::parse(leak)}));
+  EXPECT_EQ(st.bloomFalsePositives(), 0u) << "control-plane probes counted as false positives";
+
+  EXPECT_EQ(match(st, leak.c_str()), (std::vector<NodeId>{1}));
+  EXPECT_EQ(st.bloomFalsePositives(), 1u) << "the data-plane match counts it once";
+}
+
+TEST(SubscriptionTable, InvalidBloomGeometryThrows) {
+  SubscriptionTable::Options noBits;
+  noBits.bloomBits = 0;
+  EXPECT_THROW(SubscriptionTable{noBits}, std::invalid_argument);
+  SubscriptionTable::Options noHashes;
+  noHashes.bloomHashes = 0;
+  EXPECT_THROW(SubscriptionTable{noHashes}, std::invalid_argument);
+  // The exact-match ablation still builds a filter per face, so the
+  // geometry is checked there too.
+  noBits.useBloom = false;
+  EXPECT_THROW(SubscriptionTable{noBits}, std::invalid_argument);
+  EXPECT_THROW(CountingBloomFilter(0, 7), std::invalid_argument);
+  EXPECT_THROW(CountingBloomFilter(64, 0), std::invalid_argument);
 }
 
 TEST(SubscriptionTable, IntersectionQueryForMigration) {
